@@ -40,15 +40,16 @@ segment-smoke:
 	$(GO) test -race -count=1 -run 'TestSegment|TestReadIndexStats' .
 
 # Packed node-table smoke: the differential property tests for the
-# DAG-compressed representation — a packed system must answer the entire
-# read surface identically to the flat system, across random mutation
-# histories (packed Compacted() vs cold rebuild) and under concurrent
-# search — plus the segment differentials, which exercise the packed meta
-# codec through save/reload churn (the GKS4 writer packs by default). All
-# under the race detector.
+# DAG-compressed node table — its accessors must match the records derived
+# from the document trees and the system must answer the entire read
+# surface identically to a cold rebuild, across random mutation histories
+# and under concurrent search — plus the files written in the retired flat
+# encodings (they must load and answer like a fresh build) and the segment
+# differentials, which exercise the packed meta codec through save/reload
+# churn. All under the race detector.
 dag-smoke:
-	$(GO) test -race -count=1 -run 'TestPacked|TestSegmentDifferential|TestSegmentMutation|TestSegmentEviction' .
-	$(GO) test -race -count=1 -run 'TestPack|TestNodeTableBytes|TestRandomMutations' ./internal/index
+	$(GO) test -race -count=1 -run 'TestPacked|TestFlatFixtures|TestSegmentDifferential|TestSegmentMutation|TestSegmentEviction' .
+	$(GO) test -race -count=1 -run 'TestPack|TestNodeTableBytes|TestRandomMutations|TestValidateFlat' ./internal/index
 
 # Live-ingestion smoke: the full HTTP mutation lifecycle (add → replace →
 # delete, persistence round-trips, durability failure modes, metrics) in
@@ -129,8 +130,8 @@ bench-segment:
 	$(GO) run ./cmd/gksbench -exp segment -json-dir $$tmp > /dev/null && \
 	test -s $$tmp/BENCH_segment.json && echo "bench-segment: BENCH_segment.json OK" && rm -rf $$tmp
 
-# One-shot DAG-compression smoke: runs the flat-vs-packed node-table
-# experiment (which diffs every query's responses between the two engines
+# One-shot DAG-compression smoke: runs the packed node-table experiment
+# (which diffs the live-ingested index's responses against a cold rebuild
 # as it measures) and checks it emits the JSON artifact (the recorded
 # scale-10 run lives in BENCH_dag.json).
 bench-dag:

@@ -8,7 +8,7 @@
 //	gksbench [-scale N] [-exp name] [-json-dir DIR]
 //
 // Experiments: table1, table4, table5, table7, table8, fig8, fig9, fig10,
-// fig8s, refine, feedback, hybrid, naive, schema, formats, meaning, fslca,
+// fig8s, refine, feedback, hybrid, naive, schema, meaning, fslca,
 // recursive, shard, query, ingest, replica, segment, dag, or "all"
 // (default).
 //
@@ -234,16 +234,6 @@ func main() {
 		experiments.PrintFSLCA(out, rows)
 		fmt.Fprintln(out)
 	}
-	if run("formats") {
-		rows, err := s.IndexFormats()
-		if err != nil {
-			fail("formats", err)
-		}
-		fmt.Fprintln(out, "== Index persistence format comparison ==")
-		emit("formats", rows)
-		experiments.PrintIndexFormats(out, rows)
-		fmt.Fprintln(out)
-	}
 	if run("shard") {
 		r, err := experiments.ShardBench(*scale, []int{2, 4, 8}, 5)
 		if err != nil {
@@ -299,7 +289,7 @@ func main() {
 		if err != nil {
 			fail("dag", err)
 		}
-		fmt.Fprintln(out, "== DAG-compressed node table: flat vs packed across duplicate-subtree fractions ==")
+		fmt.Fprintln(out, "== DAG-compressed node table across duplicate-subtree fractions ==")
 		emit("dag", r)
 		experiments.PrintDAGBench(out, r)
 		fmt.Fprintln(out)

@@ -221,10 +221,10 @@ func LoadIndex(r io.Reader) (*System, error) {
 	return newSystem(ix, nil), nil
 }
 
-// LoadIndexFile restores a system from an index file of any persisted
+// LoadIndexFile restores a system from an index file of either persisted
 // format: a GKS4 segment is opened lazily (footer + meta only, posting
-// blocks fetched on demand behind the default block cache); GKS3/GKSI/gob
-// files decode fully into memory as before.
+// blocks fetched on demand behind the default block cache); a GKS3
+// snapshot decodes fully into memory.
 func LoadIndexFile(path string) (*System, error) {
 	return LoadIndexFileOpts(path, SegmentOptions{})
 }
@@ -290,24 +290,10 @@ func newSystem(ix *index.Index, repo *xmltree.Repository) *System {
 	return &System{ix: ix, engine: eng, an: di.New(eng), repo: repo}
 }
 
-// Packed returns a system serving the same documents through the
-// DAG-compressed packed node table; the receiver is unchanged (and
-// returned as-is when already packed). A packed system stays packed
-// across live ingestion: upserts extend the pack incrementally at
-// O(document) cost against the existing shape table, deletes tombstone,
-// and the accumulated drift from the canonical pack is measured by
-// PackDebt and paid down by RepackIfNeeded (gksd runs it at checkpoints).
-func (s *System) Packed() *System {
-	if s.ix.IsPacked() {
-		return s
-	}
-	return newSystem(s.ix.Pack(), s.repo)
-}
-
-// SaveIndex persists the index ("a onetime activity", §2.4) in the legacy
-// gob format. Prefer SaveIndexFile, which writes the checksummed snapshot
-// format; LoadIndex and LoadIndexFile read both.
-func (s *System) SaveIndex(w io.Writer) error { return s.ix.Save(w) }
+// SaveIndex persists the index ("a onetime activity", §2.4) in the
+// checksummed snapshot format (GKS3) — the same bytes as SaveSnapshot.
+// LoadIndex reads it back.
+func (s *System) SaveIndex(w io.Writer) error { return s.ix.SaveSnapshot(w) }
 
 // SaveIndexFile persists the index to a file in the checksummed snapshot
 // format (v3), atomically: a crash or full disk mid-save never destroys a
@@ -334,8 +320,8 @@ func (s *System) SaveSegmentFile(path string) error {
 // without building a searchable system, using the cheapest path the
 // format allows: a GKS4 segment reads only its footer (no posting block,
 // not even the node table is decoded); a GKS3 snapshot is skimmed in one
-// streaming, CRC-verified pass with O(1) memory; legacy GKSI/gob files
-// fall back to a full decode.
+// streaming, CRC-verified pass with O(1) memory; anything else falls back
+// to a full load, which reports what is wrong with the file.
 func ReadIndexStats(path string) (IndexStats, error) {
 	if segment.IsSegmentFile(path) {
 		return segment.ReadStats(path)
@@ -528,10 +514,8 @@ func (s *System) ApplySchemaCategorization() int {
 	return schema.Apply(s.ix, schema.Infer(s.ix).Categorize(s.ix))
 }
 
-// NodeTableBytes reports the exact heap footprint of the index's node
-// table backing storage — flat NodeInfo records or the packed
-// (DAG-compressed) arrays, whichever representation the system serves
-// from. See index.NodeTableBytes.
+// NodeTableBytes reports the exact heap footprint of the index's packed
+// (DAG-compressed) node table. See index.NodeTableBytes.
 func (s *System) NodeTableBytes() int64 { return s.ix.NodeTableBytes() }
 
 // CategoryOf reports the node categorization of the element with the given

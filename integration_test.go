@@ -46,10 +46,9 @@ func TestFullPipeline(t *testing.T) {
 			t.Fatalf("%s: stream index: %v", name, err)
 		}
 
-		// 3. Persist in the compact binary format and reload. SaveIndex
-		// writes the raw v2 binary image; SaveIndexFile wraps it in the
-		// checksummed v3 envelope. Exercise both through the
-		// auto-detecting loader.
+		// 3. Persist and reload. SaveIndex streams the checksummed GKS3
+		// snapshot; SaveIndexFile writes the same bytes atomically.
+		// Exercise both through the loader.
 		ixPath := filepath.Join(dir, name+".gksidx")
 		var buf bytes.Buffer
 		if err := streamed.SaveIndex(&buf); err != nil {
@@ -105,7 +104,7 @@ func TestBinaryIndexThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.SaveBinary(&buf); err != nil {
+	if err := ix.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	sys, err := gks.LoadIndex(&buf)

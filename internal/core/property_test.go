@@ -188,12 +188,12 @@ func TestPropertySLCACoverage(t *testing.T) {
 		}
 		full := uint64(1)<<uint(q.Len()) - 1
 		for _, sl := range slcas {
-			if len(ix.Nodes[sl].ID.Path) == 1 {
+			if len(ix.IDOf(sl).Path) == 1 {
 				continue // roots are excluded from GKS responses by design
 			}
 			covered := false
 			for _, r := range resp.Results {
-				if r.ID.IsAncestorOrSelf(ix.Nodes[sl].ID) {
+				if r.ID.IsAncestorOrSelf(ix.IDOf(sl)) {
 					covered = true
 					break
 				}
@@ -213,13 +213,13 @@ func TestPropertySLCACoverage(t *testing.T) {
 				}
 			}
 			if !fullMatch {
-				t.Fatalf("trial %d: SLCA %s uncovered and no full-match result", trial, ix.Nodes[sl].ID)
+				t.Fatalf("trial %d: SLCA %s uncovered and no full-match result", trial, ix.IDOf(sl))
 			}
 		}
 		// And if an SLCA exists below the root, the response is non-empty.
 		nonRootSLCA := false
 		for _, sl := range slcas {
-			if len(ix.Nodes[sl].ID.Path) > 1 {
+			if len(ix.IDOf(sl).Path) > 1 {
 				nonRootSLCA = true
 			}
 		}
@@ -343,7 +343,7 @@ func TestComputeMasksMatchesMaskTable(t *testing.T) {
 		// Candidates: a random subset of element nodes (their ranges nest
 		// or are disjoint by construction).
 		var cands []*candidate
-		for ord := range ix.Nodes {
+		for ord := range ix.NodeCount() {
 			if rng.Intn(3) == 0 {
 				cands = append(cands, &candidate{ord: int32(ord)})
 			}
@@ -354,7 +354,7 @@ func TestComputeMasksMatchesMaskTable(t *testing.T) {
 			start, end := ix.SubtreeRange(c.ord)
 			if want := mt.SubtreeMask(start, end); c.mask != want {
 				t.Fatalf("trial %d: node %s mask %b, table %b",
-					trial, ix.Nodes[c.ord].ID, c.mask, want)
+					trial, ix.IDOf(c.ord), c.mask, want)
 			}
 		}
 	}

@@ -84,15 +84,15 @@ func DiscoverIndexed(ixOf func(core.Result) *index.Index, resp *core.Response, m
 		}
 		ix := ixOf(r)
 		for _, attr := range ix.ValueNodesUnder(r.Ord) {
-			info := ix.Info(attr)
-			if containsQueryToken(info.Value, queryTokens) {
+			value := ix.ValueAt(attr)
+			if containsQueryToken(value, queryTokens) {
 				continue // §6.2: query keywords are not included in S_w^Q
 			}
 			path := ix.PathLabels(r.Ord, attr)
-			k := key{path: strings.Join(path, "/"), value: info.Value}
+			k := key{path: strings.Join(path, "/"), value: value}
 			in := acc[k]
 			if in == nil {
-				in = &Insight{Value: info.Value, Path: path, Example: info.ID}
+				in = &Insight{Value: value, Path: path, Example: ix.IDOf(attr)}
 				acc[k] = in
 			}
 			in.Weight += r.Rank

@@ -15,13 +15,13 @@ import (
 
 // DAG bench: the node-table compression story of the packed index. One
 // DBLP-shaped corpus is generated at several duplicate-subtree fractions
-// (datagen.BibConfig.DupFraction) and indexed once; the flat index and its
-// Pack()ed form are then compared head to head: exact node-table bytes
-// (index.NodeTableBytes — computed, not sampled), shape-table statistics,
-// pack time, and cold/warm query latency of the engine serving each
-// representation. Every query's responses are diffed between the two
-// engines during the cold pass, so a latency win can never hide a
-// correctness regression.
+// (datagen.BibConfig.DupFraction) and indexed once; each row reports the
+// exact node-table bytes (index.NodeTableBytes — computed, not sampled),
+// shape-table statistics, build time (packing included) and cold/warm
+// query latency. A live-ingestion run then appends single documents
+// through the delta-maintaining pack and diffs the final state's answers
+// against a cold rebuild, so a throughput number can never hide
+// divergence.
 //
 // Honesty note: latency is single-process wall clock (best-of-passes for
 // warm), so treat small ratios as noise; the byte columns are exact.
@@ -33,40 +33,29 @@ type DAGRow struct {
 	DupFraction float64
 	// Nodes is the element-node count of the corpus.
 	Nodes int
-	// FlatBytes / PackedBytes are the exact node-table footprints of the
-	// two representations; Ratio is Flat/Packed (bigger is better).
-	FlatBytes   int64
-	PackedBytes int64
-	Ratio       float64
+	// PackedBytes is the exact node-table footprint; BytesPerNode divides
+	// it by Nodes.
+	PackedBytes  int64
+	BytesPerNode float64
 	// SpineNodes, Instances, Shapes, ShapeNodes and Values summarize the
-	// packed form (index.PackInfo): SpineNodes+ShapeNodes is the number of
-	// structural records actually stored vs Nodes in the flat table.
+	// packed table (index.PackInfo): SpineNodes+ShapeNodes is the number
+	// of structural records actually stored for Nodes elements.
 	SpineNodes int
 	Instances  int
 	Shapes     int
 	ShapeNodes int
 	Values     int
-	// BuildTime is the flat index build; PackTime the Pack() call on top.
+	// BuildTime is the index build, packing included.
 	BuildTime time.Duration
-	PackTime  time.Duration
-	// FlatCold/PackedCold are first-pass mean latencies; FlatWarm and
-	// PackedWarm best-of-7-passes means. WarmRatio is PackedWarm/FlatWarm
-	// (≤1 means packed serving is free or better).
-	FlatCold   time.Duration
-	PackedCold time.Duration
-	FlatWarm   time.Duration
-	PackedWarm time.Duration
-	WarmRatio  float64
+	// Cold is the first-pass mean latency; Warm the best-of-7-passes mean.
+	Cold time.Duration
+	Warm time.Duration
 }
 
-// DAGIngestRow is one append strategy's live-ingestion measurement: the
-// same document stream appended one at a time onto the same base corpus.
+// DAGIngestRow is the live-ingestion measurement: a document stream
+// appended one at a time onto a base corpus through the delta-maintaining
+// pack.
 type DAGIngestRow struct {
-	// Strategy identifies the append path: "flat-append" (no packing at
-	// all), "packed-full-repack" (the pre-delta behavior: flatten, splice,
-	// re-pack per document) or "packed-delta" (incremental pack
-	// maintenance).
-	Strategy string
 	// Docs is the number of documents appended; Nodes the final node count.
 	Docs  int
 	Nodes int
@@ -75,20 +64,18 @@ type DAGIngestRow struct {
 	Total      time.Duration
 	PerDoc     time.Duration
 	DocsPerSec float64
-	// PackDebt is the delta strategy's leftover debt ratio (what a repack
-	// would reclaim); 0 for the other strategies.
+	// PackDebt is the leftover debt ratio (what a repack would reclaim).
 	PackDebt float64
 }
 
 // DAGBenchResult aggregates the experiment for reporting and the
 // BENCH_dag.json artifact.
 type DAGBenchResult struct {
-	Scale      int
-	Queries    int
-	Rows       []DAGRow
-	IngestDocs int
-	Ingest     []DAGIngestRow
-	Mode       string
+	Scale   int
+	Queries int
+	Rows    []DAGRow
+	Ingest  DAGIngestRow
+	Mode    string
 }
 
 // dagQueries derives a deterministic mixed query set from the index
@@ -121,13 +108,13 @@ func dagQueries(ix *index.Index, n int) ([]string, error) {
 // diffResponses compares the user-visible surface of two responses.
 func diffResponses(q string, a, b *core.Response) error {
 	if len(a.Results) != len(b.Results) {
-		return fmt.Errorf("dag: query %q: %d flat results vs %d packed", q, len(a.Results), len(b.Results))
+		return fmt.Errorf("dag: query %q: %d results vs %d", q, len(a.Results), len(b.Results))
 	}
 	for i := range a.Results {
 		ra, rb := &a.Results[i], &b.Results[i]
 		if ra.Ord != rb.Ord || ra.Rank != rb.Rank || ra.Label != rb.Label ||
 			ra.KeywordCount != rb.KeywordCount || ra.ID.String() != rb.ID.String() {
-			return fmt.Errorf("dag: query %q: result %d diverges (flat %s rank %g vs packed %s rank %g)",
+			return fmt.Errorf("dag: query %q: result %d diverges (%s rank %g vs %s rank %g)",
 				q, i, ra.ID, ra.Rank, rb.ID, rb.Rank)
 		}
 	}
@@ -185,119 +172,73 @@ func dagLiveDocs(n int) []*xmltree.Document {
 	return docs
 }
 
-// dagIngest measures live-ingestion throughput: the same document stream
-// appended one at a time via three strategies onto the same base corpus —
-// flat append (never packed), the pre-delta packed behavior (flatten,
-// splice, re-pack every document: the O(N)-per-append collapse this repo
-// fixed) and the delta-maintaining packed append. Final states are diffed
-// query-by-query so a throughput win can never hide divergence.
-func dagIngest(scale int) ([]DAGIngestRow, int, error) {
-	repo := datagen.Repo(datagen.DBLP(datagen.BibConfig{
+// dagIngest measures live-ingestion throughput: the document stream is
+// appended one at a time onto the base corpus, then the final state's
+// answers are diffed query by query against a cold rebuild of the same
+// documents.
+func dagIngest(scale int) (DAGIngestRow, error) {
+	base := datagen.DBLP(datagen.BibConfig{
 		Config:      datagen.Config{Seed: 31, Scale: scale},
 		DupFraction: 0.3,
-	}))
-	flatBase, err := index.Build(repo, index.DefaultOptions())
+	})
+	cur, err := index.Build(datagen.Repo(base), index.DefaultOptions())
 	if err != nil {
-		return nil, 0, fmt.Errorf("dag ingest: indexing base: %w", err)
+		return DAGIngestRow{}, fmt.Errorf("dag ingest: indexing base: %w", err)
 	}
-	packedBase := flatBase.Pack()
-
-	nDocs := 16 + 4*scale
-	if nDocs > 96 {
-		nDocs = 96
-	}
+	nDocs := min(16+4*scale, 96)
 	docs := dagLiveDocs(nDocs)
 
-	type strategy struct {
-		name string
-		base *index.Index
-		step func(*index.Index, *xmltree.Document) (*index.Index, error)
+	start := time.Now()
+	for _, d := range docs {
+		if cur, err = index.AppendAs(cur, d, cur.NextDocID(), index.DefaultOptions()); err != nil {
+			return DAGIngestRow{}, fmt.Errorf("dag ingest: %w", err)
+		}
 	}
-	strategies := []strategy{
-		{"flat-append", flatBase, func(ix *index.Index, d *xmltree.Document) (*index.Index, error) {
-			return index.AppendAs(ix, d, ix.NextDocID(), index.DefaultOptions())
-		}},
-		{"packed-full-repack", packedBase, func(ix *index.Index, d *xmltree.Document) (*index.Index, error) {
-			return index.AppendAsFullRepack(ix, d, ix.NextDocID(), index.DefaultOptions())
-		}},
-		{"packed-delta", packedBase, func(ix *index.Index, d *xmltree.Document) (*index.Index, error) {
-			return index.AppendAs(ix, d, ix.NextDocID(), index.DefaultOptions())
-		}},
+	total := time.Since(start)
+	row := DAGIngestRow{
+		Docs:       nDocs,
+		Nodes:      cur.NodeCount(),
+		Total:      total,
+		PerDoc:     total / time.Duration(nDocs),
+		DocsPerSec: float64(nDocs) / total.Seconds(),
+		PackDebt:   cur.PackDebt(),
 	}
 
-	rows := make([]DAGIngestRow, 0, len(strategies))
-	finals := make([]*index.Index, 0, len(strategies))
-	for _, s := range strategies {
-		cur := s.base
-		start := time.Now()
-		for _, d := range docs {
-			next, err := s.step(cur, d)
-			if err != nil {
-				return nil, 0, fmt.Errorf("dag ingest: %s: %w", s.name, err)
-			}
-			cur = next
-		}
-		total := time.Since(start)
-		if s.base == packedBase && !cur.IsPacked() {
-			return nil, 0, fmt.Errorf("dag ingest: %s lost the packed representation", s.name)
-		}
-		row := DAGIngestRow{
-			Strategy: s.name,
-			Docs:     nDocs,
-			Nodes:    cur.NodeCount(),
-			Total:    total,
-			PerDoc:   total / time.Duration(nDocs),
-			PackDebt: cur.PackDebt(),
-		}
-		if total > 0 {
-			row.DocsPerSec = float64(nDocs) / total.Seconds()
-		}
-		rows = append(rows, row)
-		finals = append(finals, cur)
-	}
-
-	queries, err := dagQueries(finals[0], 30)
+	// AppendAs numbered the documents in place, so the cold rebuild sees
+	// the same Dewey IDs.
+	cold, err := index.Build(&xmltree.Repository{Docs: append([]*xmltree.Document{base}, docs...)}, index.DefaultOptions())
 	if err != nil {
-		return nil, 0, err
+		return DAGIngestRow{}, fmt.Errorf("dag ingest: cold rebuild: %w", err)
 	}
-	onePass := func(ix *index.Index) ([]*core.Response, error) {
-		eng := core.NewEngine(ix)
-		resp := make([]*core.Response, 0, len(queries))
-		for _, q := range queries {
-			r, err := eng.Search(core.ParseQuery(q), 2)
-			if err != nil {
-				return nil, err
-			}
-			resp = append(resp, r)
-		}
-		return resp, nil
-	}
-	refResp, err := onePass(finals[0])
+	queries, err := dagQueries(cold, 30)
 	if err != nil {
-		return nil, 0, err
+		return DAGIngestRow{}, err
 	}
-	for i := 1; i < len(finals); i++ {
-		resp, err := onePass(finals[i])
+	liveEng, coldEng := core.NewEngine(cur), core.NewEngine(cold)
+	for _, q := range queries {
+		want, err := coldEng.Search(core.ParseQuery(q), 2)
 		if err != nil {
-			return nil, 0, err
+			return DAGIngestRow{}, err
 		}
-		for j, q := range queries {
-			if err := diffResponses(q, refResp[j], resp[j]); err != nil {
-				return nil, 0, fmt.Errorf("dag ingest: %s vs flat-append: %w", rows[i].Strategy, err)
-			}
+		got, err := liveEng.Search(core.ParseQuery(q), 2)
+		if err != nil {
+			return DAGIngestRow{}, err
+		}
+		if err := diffResponses(q, want, got); err != nil {
+			return DAGIngestRow{}, fmt.Errorf("dag ingest: appended vs cold rebuild: %w", err)
 		}
 	}
-	return rows, nDocs, nil
+	return row, nil
 }
 
-// DAGBench runs the flat-vs-packed node-table comparison at the given
-// corpus scale across a sweep of duplicate-subtree fractions.
+// DAGBench measures the packed node table at the given corpus scale
+// across a sweep of duplicate-subtree fractions.
 func DAGBench(scale int) (*DAGBenchResult, error) {
 	res := &DAGBenchResult{
 		Scale: scale,
 		Mode: "single process; byte columns are exact (index.NodeTableBytes), " +
-			"latency is wall clock (warm = best of 7 passes); every query's " +
-			"responses are diffed flat-vs-packed during the cold pass",
+			"latency is wall clock (warm = best of 7 passes); the appended " +
+			"index's responses are diffed against a cold rebuild",
 	}
 	for _, dup := range []float64{0, 0.3, 0.6, 0.9} {
 		repo := datagen.Repo(datagen.DBLP(datagen.BibConfig{
@@ -305,98 +246,61 @@ func DAGBench(scale int) (*DAGBenchResult, error) {
 			DupFraction: dup,
 		}))
 		start := time.Now()
-		flat, err := index.Build(repo, index.DefaultOptions())
+		ix, err := index.Build(repo, index.DefaultOptions())
 		if err != nil {
 			return nil, fmt.Errorf("dag: indexing dup=%.1f: %w", dup, err)
 		}
 		buildTime := time.Since(start)
-		start = time.Now()
-		packed := flat.Pack()
-		packTime := time.Since(start)
-		info, ok := packed.PackedInfo()
-		if !ok {
-			return nil, fmt.Errorf("dag: Pack() did not produce a packed index")
-		}
+		info := ix.PackedInfo()
 
-		queries, err := dagQueries(flat, 30)
+		queries, err := dagQueries(ix, 30)
 		if err != nil {
 			return nil, err
 		}
-		flatEng, packedEng := core.NewEngine(flat), core.NewEngine(packed)
-		fCold, fWarm, fResp, err := dagMeasure(flatEng, queries, 2)
+		cold, warm, _, err := dagMeasure(core.NewEngine(ix), queries, 2)
 		if err != nil {
 			return nil, err
 		}
-		pCold, pWarm, pResp, err := dagMeasure(packedEng, queries, 2)
-		if err != nil {
-			return nil, err
-		}
-		for i, q := range queries {
-			if err := diffResponses(q, fResp[i], pResp[i]); err != nil {
-				return nil, err
-			}
-		}
-
 		row := DAGRow{
 			DupFraction: dup,
-			Nodes:       flat.NodeCount(),
-			FlatBytes:   flat.NodeTableBytes(),
-			PackedBytes: packed.NodeTableBytes(),
+			Nodes:       ix.NodeCount(),
+			PackedBytes: ix.NodeTableBytes(),
 			SpineNodes:  info.SpineNodes,
 			Instances:   info.Instances,
 			Shapes:      info.Shapes,
 			ShapeNodes:  info.ShapeNodes,
 			Values:      info.Values,
 			BuildTime:   buildTime,
-			PackTime:    packTime,
-			FlatCold:    fCold,
-			PackedCold:  pCold,
-			FlatWarm:    fWarm,
-			PackedWarm:  pWarm,
+			Cold:        cold,
+			Warm:        warm,
 		}
-		if row.PackedBytes > 0 {
-			row.Ratio = float64(row.FlatBytes) / float64(row.PackedBytes)
-		}
-		if fWarm > 0 {
-			row.WarmRatio = float64(pWarm) / float64(fWarm)
-		}
+		row.BytesPerNode = float64(row.PackedBytes) / float64(row.Nodes)
 		res.Rows = append(res.Rows, row)
 		res.Queries = len(queries)
 	}
-	ingest, nDocs, err := dagIngest(scale)
+	ingest, err := dagIngest(scale)
 	if err != nil {
 		return nil, err
 	}
-	res.Ingest, res.IngestDocs = ingest, nDocs
+	res.Ingest = ingest
 	return res, nil
 }
 
-// PrintDAGBench renders the comparison as a table.
+// PrintDAGBench renders the measurements as a table.
 func PrintDAGBench(w io.Writer, r *DAGBenchResult) {
-	fmt.Fprintf(w, "DBLP corpus at scale %d; %d queries/pass; flat vs packed (DAG-compressed) node table\n", r.Scale, r.Queries)
+	fmt.Fprintf(w, "DBLP corpus at scale %d; %d queries/pass; packed (DAG-compressed) node table\n", r.Scale, r.Queries)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dup\tnodes\tflat ntbl\tpacked ntbl\tratio\tshapes\tinstances\tspine\tpack\tflat warm\tpacked warm\twarm ratio")
+	fmt.Fprintln(tw, "dup\tnodes\tntbl\tB/node\tshapes\tinstances\tspine\tbuild\tcold\twarm")
 	for _, row := range r.Rows {
-		fmt.Fprintf(tw, "%.1f\t%d\t%.2f MiB\t%.2f MiB\t%.2fx\t%d\t%d\t%d\t%v\t%v\t%v\t%.2f\n",
-			row.DupFraction, row.Nodes,
-			float64(row.FlatBytes)/(1<<20), float64(row.PackedBytes)/(1<<20),
-			row.Ratio, row.Shapes, row.Instances, row.SpineNodes,
-			row.PackTime.Round(time.Millisecond),
-			row.FlatWarm.Round(time.Microsecond), row.PackedWarm.Round(time.Microsecond),
-			row.WarmRatio)
+		fmt.Fprintf(tw, "%.1f\t%d\t%.2f MiB\t%.1f\t%d\t%d\t%d\t%v\t%v\t%v\n",
+			row.DupFraction, row.Nodes, float64(row.PackedBytes)/(1<<20), row.BytesPerNode,
+			row.Shapes, row.Instances, row.SpineNodes,
+			row.BuildTime.Round(time.Millisecond),
+			row.Cold.Round(time.Microsecond), row.Warm.Round(time.Microsecond))
 	}
 	tw.Flush()
-	if len(r.Ingest) > 0 {
-		fmt.Fprintf(w, "\nlive ingestion: %d single-document upserts onto the dup=0.3 base, per strategy\n", r.IngestDocs)
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "strategy\tdocs/s\tper doc\ttotal\tfinal nodes\tpack debt")
-		for _, row := range r.Ingest {
-			fmt.Fprintf(tw, "%s\t%.1f\t%v\t%v\t%d\t%.3f\n",
-				row.Strategy, row.DocsPerSec,
-				row.PerDoc.Round(time.Microsecond), row.Total.Round(time.Millisecond),
-				row.Nodes, row.PackDebt)
-		}
-		tw.Flush()
-	}
+	in := r.Ingest
+	fmt.Fprintf(w, "\nlive ingestion: %d single-document upserts onto the dup=0.3 base: %.1f docs/s, %v per doc, %v total, %d final nodes, pack debt %.3f\n",
+		in.Docs, in.DocsPerSec, in.PerDoc.Round(time.Microsecond), in.Total.Round(time.Millisecond), in.Nodes, in.PackDebt)
 	fmt.Fprintf(w, "mode: %s\n", r.Mode)
 }

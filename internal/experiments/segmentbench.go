@@ -56,8 +56,8 @@ type SegmentRow struct {
 	// cache capacity bounds regardless of corpus size.
 	PostingResidentBytes int64
 	// NodeTableBytes is the exact footprint of the node table's backing
-	// storage (index.NodeTableBytes — computed, not sampled): flat NodeInfo
-	// records for gks3, the packed DAG-compressed arrays for gks4.
+	// storage (index.NodeTableBytes — computed, not sampled): the packed
+	// DAG-compressed arrays, in both formats.
 	NodeTableBytes int64
 	// OtherResidentBytes is ResidentBytes minus the node-table and
 	// posting-resident shares — label/doc tables, directories, allocator
@@ -258,9 +258,8 @@ func SegmentBench(scale int, cacheBytes int64) (*SegmentBenchResult, error) {
 		CacheBytes:       cacheBytes,
 		Mode: "single process; resident bytes are forced-GC heap deltas; " +
 			"GKS4 preads hit the OS page cache, which is not charged to either format. " +
-			"Both formats decode the node table eagerly (the engine indexes it directly): " +
-			"gks3 as flat NodeInfo records, gks4 in the packed DAG-compressed form " +
-			"(node tbl column, computed exactly via index.NodeTableBytes). " +
+			"Both formats decode the packed DAG-compressed node table eagerly (the engine " +
+			"indexes it directly; node tbl column, computed exactly via index.NodeTableBytes). " +
 			"The posting-resident column is the bounded-vs-unbounded story: gks3 " +
 			"posting memory grows with the corpus, gks4's is capped at the " +
 			"block-cache capacity; 'other' is the remainder (label/doc tables, " +

@@ -31,13 +31,12 @@ func Append(ix *Index, doc *xmltree.Document, opts Options) (*Index, error) {
 // table would fall out of Dewey order; callers that don't care should use
 // Append, which picks the next free id.
 //
-// On a packed base the delta-maintaining pack (packed_append.go) applies
-// whenever it can: the new document is packed against the existing shape
-// table at O(document) cost, tombstones survive, and the base is never
-// flattened. When the delta path declines — the document number collides
-// with a tombstoned document's, or a sibling append already extended this
-// generation's arrays — the legacy flatten-splice-repack path below runs
-// instead, which also compacts any tombstones away.
+// The delta-maintaining pack (packed_append.go) applies whenever it can:
+// the new document is packed against the existing shape table at
+// O(document) cost, and tombstones survive. When the delta path declines
+// — the document number collides with a tombstoned document's, or a
+// sibling append already extended this generation's arrays — appendMerged
+// splices instead, which also compacts any tombstones away.
 func AppendAs(ix *Index, doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("index: append to nil index")
@@ -49,88 +48,52 @@ func AppendAs(ix *Index, doc *xmltree.Document, docID int32, opts Options) (*Ind
 	if err != nil {
 		return nil, err
 	}
-	// Validation (and any Build failure) happens before the base is
+	// Validation (and any build failure) happens before the base is
 	// touched and restores doc on error; only a fully built partial index
 	// reaches the merge, which cannot fail on well-formed parts.
-	partial, err := BuildDocumentAs(doc, docID, opts)
+	partial, err := buildDocumentAs(doc, docID, opts)
 	if err != nil {
 		return nil, err
 	}
-	if ix.IsPacked() {
-		if out, ok := ix.appendPacked(partial); ok {
-			return out, nil
-		}
+	if out, ok := ix.appendPacked(partial); ok {
+		return out, nil
 	}
-	return appendMerged(ix, partial)
+	return appendMerged(ix, partial), nil
 }
 
-// AppendAsFullRepack is AppendAs with the delta-maintaining pack disabled:
-// a packed base is flattened, spliced and re-packed from scratch, exactly
-// the pre-delta behavior. It exists as the benchmark baseline (the cost
-// the delta path removes) and as a differential oracle — the two paths
-// must agree on the compacted observable state.
-func AppendAsFullRepack(ix *Index, doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
-	if ix == nil {
-		return nil, fmt.Errorf("index: append to nil index")
-	}
-	ix, err := ix.Materialized()
-	if err != nil {
-		return nil, err
-	}
-	partial, err := BuildDocumentAs(doc, docID, opts)
-	if err != nil {
-		return nil, err
-	}
-	return appendMerged(ix, partial)
-}
-
-// appendMerged is the legacy splice: flatten (compacting tombstones),
-// merge the flat tables, and re-pack when the base was packed.
-func appendMerged(ix, partial *Index) (*Index, error) {
-	repack := ix.IsPacked()
-	merged, err := mergePartials([]*Index{ix.Compacted().Unpacked(), partial})
-	if err != nil || !repack {
-		return merged, err
-	}
-	return merged.Pack(), nil
+// appendMerged is the full splice: flatten the base (compacting
+// tombstones), merge the flat tables and pack the result.
+func appendMerged(ix *Index, partial *flatIndex) *Index {
+	return mergePartials([]*flatIndex{ix.flatten(), partial}).pack()
 }
 
 // AppendBatch indexes docs — renumbered sequentially from the base's next
 // free document id, in slice order — and merges them in a single splice:
 // the base is flattened once, every partial merges in one mergePartials
-// call, and a packed base re-packs exactly once at the end. This is the
-// WAL-replay batch path: replaying K records used to pay K full
-// unpack/repack cycles (O(N·K)); now boot replay packs once regardless of
-// K. An empty batch returns the (materialized) base unchanged.
+// call, and the result packs exactly once. This is the WAL-replay batch
+// path: replaying K records packs once regardless of K. An empty batch
+// returns the base unchanged.
 func AppendBatch(ix *Index, docs []*xmltree.Document, opts Options) (*Index, error) {
 	if ix == nil {
 		return nil, fmt.Errorf("index: append to nil index")
+	}
+	if len(docs) == 0 {
+		return ix, nil
 	}
 	ix, err := ix.Materialized()
 	if err != nil {
 		return nil, err
 	}
-	if len(docs) == 0 {
-		return ix, nil
-	}
-	repack := ix.IsPacked()
-	// Unpacked preserves the tombstone mask; compacting the flat table
-	// removes the dead rows without triggering a re-pack.
-	flat := ix.Unpacked().Compacted()
-	parts := make([]*Index, 0, len(docs)+1)
-	parts = append(parts, flat)
-	id := flat.NextDocID()
+	parts := make([]*flatIndex, 0, len(docs)+1)
+	parts = append(parts, ix.flatten())
+	id := ix.NextDocID()
 	for _, doc := range docs {
-		part, err := BuildDocumentAs(doc, id, opts)
+		part, err := buildDocumentAs(doc, id, opts)
 		if err != nil {
 			return nil, err
 		}
 		id++
 		parts = append(parts, part)
 	}
-	merged, err := mergePartials(parts)
-	if err != nil || !repack {
-		return merged, err
-	}
-	return merged.Pack(), nil
+	return mergePartials(parts).pack(), nil
 }

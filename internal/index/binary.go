@@ -2,8 +2,9 @@ package index
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
@@ -11,34 +12,30 @@ import (
 	"repro/internal/postings"
 )
 
-// Binary index format ("GKSI", version 2): a compact, self-describing
-// serialization that stores posting lists delta-varint compressed
-// (internal/postings) and Dewey IDs with the varint codec
-// (internal/dewey). It is substantially smaller and faster to decode than
-// the gob format (format v1), which is retained for compatibility; Load
-// and LoadFile auto-detect the format from the leading magic bytes.
+// Binary index image ("GKSI"): the payload of a GKS3 snapshot
+// (snapshot.go). Posting lists are stored delta-varint compressed
+// (internal/postings).
 //
 // Layout (all integers unsigned varints unless noted):
 //
 //	magic "GKSI" | version
 //	labels:   count, then len+bytes each
 //	docs:     count, then len+bytes each
-//	nodes:    count, then per node:
+//	nodes:    version 3: the packed node arrays (writeMeta)
+//	          version 2: count, then per node the flat record:
 //	            dewey(binary codec) label cat(byte) childCount subtree
 //	            parent+1 hasValue(byte) [valueLen valueBytes]
 //	postings: count, then per keyword:
 //	            keyLen keyBytes n deltaVarints...
 //	stats:    fixed sequence of varints
+//
+// Only version 3 is written. Version 2 images — every GKS3 file written
+// before the packed table became the only node table — still load: the
+// flat records are structurally checked and packed on the way in.
 const binaryMagic = "GKSI"
 
-// binaryVersion is the flat-table encoding; binaryVersionPacked marks a
-// stream whose node section is the DAG-compressed layout of packed.go
-// (same labels/docs/postings/stats framing, packed node arrays in place of
-// the per-node records). SaveBinary picks the version from the index's
-// representation, so a packed index round-trips without materializing a
-// flat table and a flat one stays byte-identical to format v2.
 const (
-	binaryVersion       = 2
+	binaryVersionFlat   = 2
 	binaryVersionPacked = 3
 )
 
@@ -59,44 +56,13 @@ func (w *binWriter) str(s string) {
 	w.bw.WriteString(s)
 }
 
-// writeMeta writes the labels/docs/nodes sections in the v2 encoding —
-// the part of the format shared between SaveBinary and the GKS4 segment
-// meta section.
-func (w *binWriter) writeMeta(ix *Index) {
-	w.uvarint(uint64(len(ix.Labels)))
-	for _, l := range ix.Labels {
-		w.str(l)
-	}
-	w.uvarint(uint64(len(ix.DocNames)))
-	for _, d := range ix.DocNames {
-		w.str(d)
-	}
-
-	w.uvarint(uint64(len(ix.Nodes)))
-	for i := range ix.Nodes {
-		n := &ix.Nodes[i]
-		w.scratch = n.ID.AppendBinary(w.scratch[:0])
-		w.bw.Write(w.scratch)
-		w.uvarint(uint64(n.Label))
-		w.bw.WriteByte(byte(n.Cat))
-		w.uvarint(uint64(n.ChildCount))
-		w.uvarint(uint64(n.Subtree))
-		w.uvarint(uint64(n.Parent + 1))
-		if n.HasValue {
-			w.bw.WriteByte(1)
-			w.str(n.Value)
-		} else {
-			w.bw.WriteByte(0)
-		}
-	}
-}
-
-// writeMetaPacked writes the labels/docs sections followed by the packed
-// node arrays. Negative-capable fields are stored +1 so plain uvarints
+// writeMeta writes the labels/docs sections followed by the packed node
+// arrays — the part of the format shared between the snapshot payload and
+// the GKS4 segment meta section. Negative-capable fields are stored +1 so plain uvarints
 // suffice. The per-ordinal dispatch array is NOT written: instance ranges
 // plus the rule that spine slots are assigned in ascending ordinal order
 // (which is how packNodes emits them) reconstruct it exactly.
-func (w *binWriter) writeMetaPacked(ix *Index) {
+func (w *binWriter) writeMeta(ix *Index) {
 	p := ix.packed
 	w.uvarint(uint64(len(ix.Labels)))
 	for _, l := range ix.Labels {
@@ -160,46 +126,37 @@ func (w *binWriter) writeMetaPacked(ix *Index) {
 	}
 }
 
-// metaPackedSentinel distinguishes a packed meta section from the flat v2
-// layout: a flat section starts with the label count, which is at least 1
-// on any buildable index, so a leading 0 byte can only mean "packed
-// follows" (then a version varint for future evolution).
+// metaPackedVersion follows the leading 0 of a packed GKS4 meta section.
+// A flat section (written before the packed table became the only node
+// table) starts with the label count, which is at least 1 on any
+// buildable index, so a leading 0 byte can only mean "packed follows".
 const metaPackedVersion = 1
 
-// EncodeMeta writes the labels, document names and node table without
-// magic framing. A flat index uses the v2 encoding unchanged; a packed
-// index writes a 0 sentinel, a packed-meta version and the packed arrays.
-// This is the GKS4 segment meta section (internal/segment); DecodeMeta is
-// its inverse and auto-detects the variant. A tombstoned index must be
-// compacted by the caller first.
+// EncodeMeta writes the labels, document names and packed node table
+// without magic framing: a 0 sentinel, the packed-meta version and the
+// packed arrays. This is the GKS4 segment meta section
+// (internal/segment); DecodeMeta is its inverse. A tombstoned index must
+// be compacted by the caller first.
 func EncodeMeta(w io.Writer, ix *Index) error {
 	bw := &binWriter{bw: bufio.NewWriter(w)}
-	if ix.packed != nil {
-		bw.uvarint(0)
-		bw.uvarint(metaPackedVersion)
-		bw.writeMetaPacked(ix)
-	} else {
-		bw.writeMeta(ix)
-	}
+	bw.uvarint(0)
+	bw.uvarint(metaPackedVersion)
+	bw.writeMeta(ix)
 	return bw.bw.Flush()
 }
 
-// SaveBinary writes the index in the compact binary format. A tombstoned
-// index is compacted first — the on-disk formats have no notion of a
-// delete mask — and a lazily-backed index streams its lists from the
-// source one at a time, so serializing never materializes the postings.
-func (ix *Index) SaveBinary(w io.Writer) error {
+// writeBinary writes the GKSI image — the GKS3 snapshot payload. A
+// tombstoned index is compacted first — the on-disk formats have no
+// notion of a delete mask — and a lazily-backed index streams its lists
+// from the source one at a time, so serializing never materializes the
+// postings.
+func (ix *Index) writeBinary(w io.Writer) error {
 	ix = ix.Compacted()
 	bw := &binWriter{bw: bufio.NewWriter(w)}
 
 	bw.bw.WriteString(binaryMagic)
-	if ix.packed != nil {
-		bw.uvarint(binaryVersionPacked)
-		bw.writeMetaPacked(ix)
-	} else {
-		bw.uvarint(binaryVersion)
-		bw.writeMeta(ix)
-	}
+	bw.uvarint(binaryVersionPacked)
+	bw.writeMeta(ix)
 
 	// Keywords are written sorted so the format is deterministic. A
 	// separate buffer keeps list encoding off bw.scratch, which the
@@ -241,120 +198,59 @@ func (s *Stats) setFields(v []int) {
 
 const statsFieldCount = 10
 
-// LoadBinary reads an index written by SaveBinary. The magic bytes must
-// already be verified by the caller (Load does this) or present in r.
-func LoadBinary(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, corruptf("binary load: magic: %v", err)
+// decodeBinary decodes a complete GKSI image (a verified snapshot
+// payload).
+func decodeBinary(img []byte) (*Index, error) {
+	d := newDecoder(img)
+	magic, err := d.bytes("magic", uint64(len(binaryMagic)))
+	if err != nil || string(magic) != binaryMagic {
+		return nil, corruptf("binary load: payload does not start with %q", binaryMagic)
 	}
-	if string(magic[:]) != binaryMagic {
-		return nil, corruptf("binary load: bad magic %q", magic)
-	}
-	return loadBinaryAfterMagic(br, -1)
-}
-
-// preallocCap bounds an upfront slice allocation for a decoded count when
-// the input size is unknown: the slice starts at most this many elements
-// and grows by append, so a lying count costs a bounded allocation before
-// the stream runs dry and decoding fails.
-const preallocCap = 1 << 16
-
-// boundedCount validates a decoded element count. Every element occupies at
-// least minBytes bytes of input, so when the input size is known a count
-// exceeding size/minBytes proves corruption before anything is allocated;
-// absCap is the structural ceiling (e.g. node ordinals are int32).
-func boundedCount(what string, n uint64, minBytes, size int64, absCap uint64) (int, error) {
-	if n > absCap {
-		return 0, corruptf("binary load: implausible %s %d", what, n)
-	}
-	if size >= 0 && n > uint64(size)/uint64(minBytes) {
-		return 0, corruptf("binary load: %s %d exceeds what %d input bytes can hold", what, n, size)
-	}
-	return int(n), nil
-}
-
-// loadBinaryAfterMagic decodes a v2 stream whose magic has been consumed.
-// size bounds the bytes plausibly remaining in br (< 0 when unknown); all
-// pre-allocations are capped against it so corrupt counts fail with
-// ErrCorrupt instead of demanding multi-GB allocations.
-func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	readString := func() (string, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<28 || (size >= 0 && n > uint64(size)) {
-			return "", corruptf("binary load: implausible string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	fail := func(what string, err error) (*Index, error) {
-		if errors.Is(err, ErrCorrupt) {
-			return nil, err
-		}
-		return nil, corruptf("binary load: %s: %v", what, err)
-	}
-
-	version, err := readUvarint()
+	version, err := d.uvarint("version")
 	if err != nil {
-		return fail("version", err)
+		return nil, err
 	}
 	ix := &Index{Postings: make(map[string][]int32), labelIDs: make(map[string]int32)}
 	switch version {
-	case binaryVersion:
-		if err := readMetaInto(br, size, ix); err != nil {
-			return nil, err
-		}
+	case binaryVersionFlat:
+		err = d.flatMeta(ix)
 	case binaryVersionPacked:
-		if err := readMetaPackedInto(br, size, ix); err != nil {
-			return nil, err
-		}
+		err = d.packedMeta(ix)
 	default:
-		return nil, corruptf("binary load: unsupported version %d", version)
+		err = corruptf("binary load: unsupported version %d", version)
 	}
-
-	nKeys, err := readUvarint()
 	if err != nil {
-		return fail("keyword count", err)
-	}
-	if _, err := boundedCount("keyword count", nKeys, 1, size, 1<<31); err != nil {
 		return nil, err
 	}
-	for i := uint64(0); i < nKeys; i++ {
-		key, err := readString()
+
+	nKeys, err := d.count("keyword count", 1)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < nKeys; i++ {
+		key, err := d.str("keyword")
 		if err != nil {
-			return fail("keyword", err)
+			return nil, err
 		}
-		rawN, err := readUvarint()
-		if err != nil {
-			return fail("posting count", err)
-		}
-		n, err := boundedCount("posting count", rawN, 1, size, 1<<31)
+		n, err := d.count("posting count", 1)
 		if err != nil {
 			return nil, err
 		}
 		list := make([]int32, 0, min(n, preallocCap))
 		prev := int32(-1)
 		for j := 0; j < n; j++ {
-			d, err := readUvarint()
+			delta, err := d.uvarint("posting delta")
 			if err != nil {
-				return fail("posting delta", err)
+				return nil, err
 			}
 			// A zero delta would decode a duplicate ordinal — lists are
 			// strictly increasing by invariant, and the save-path codec
 			// enforces it, so accepting one here would plant a panic in a
 			// later save.
-			if d == 0 {
+			if delta == 0 {
 				return nil, corruptf("binary load: keyword %q: zero posting delta", key)
 			}
-			prev += int32(d)
+			prev += int32(delta)
 			list = append(list, prev)
 		}
 		ix.Postings[key] = list
@@ -362,9 +258,9 @@ func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
 
 	vals := make([]int, statsFieldCount)
 	for i := range vals {
-		v, err := readUvarint()
+		v, err := d.uvarint("stats")
 		if err != nil {
-			return fail("stats", err)
+			return nil, err
 		}
 		vals[i] = int(v)
 	}
@@ -372,332 +268,351 @@ func loadBinaryAfterMagic(br *bufio.Reader, size int64) (*Index, error) {
 	return ix, nil
 }
 
-// DecodeMeta reads the labels/docs/nodes sections written by EncodeMeta
-// into a fresh Index with no posting lists and zero statistics — the
-// skeleton internal/segment hands to NewLazy. The flat (v2) and packed
-// variants are auto-detected from the leading sentinel byte. size bounds
-// allocations as in Load; damaged input fails with ErrCorrupt.
-func DecodeMeta(r io.Reader, size int64) (*Index, error) {
-	br := bufio.NewReader(r)
+// DecodeMeta reads a GKS4 meta section into a fresh Index with no posting
+// lists and zero statistics — the skeleton internal/segment hands to
+// NewLazy. The packed variant EncodeMeta writes and the flat variant of
+// older segments are told apart by the leading sentinel byte; flat
+// records are checked and packed as they load. Damaged input fails with
+// ErrCorrupt.
+func DecodeMeta(meta []byte) (*Index, error) {
+	d := newDecoder(meta)
 	ix := &Index{labelIDs: make(map[string]int32)}
-	lead, err := br.Peek(1)
-	if err != nil {
-		return nil, corruptf("binary load: meta lead: %v", err)
-	}
-	if lead[0] == 0 {
-		br.Discard(1)
-		ver, err := binary.ReadUvarint(br)
+	if len(meta) > 0 && meta[0] == 0 {
+		d.b = d.b[1:]
+		ver, err := d.uvarint("packed meta version")
 		if err != nil {
-			return nil, corruptf("binary load: packed meta version: %v", err)
+			return nil, err
 		}
 		if ver != metaPackedVersion {
 			return nil, corruptf("binary load: unsupported packed meta version %d", ver)
 		}
-		if err := readMetaPackedInto(br, size, ix); err != nil {
-			return nil, err
-		}
-		return ix, nil
+		return ix, d.packedMeta(ix)
 	}
-	if err := readMetaInto(br, size, ix); err != nil {
-		return nil, err
-	}
-	return ix, nil
+	return ix, d.flatMeta(ix)
 }
 
-// readMetaInto decodes the labels/docs/nodes sections (the writeMeta
-// layout) into ix. size bounds pre-allocations as in loadBinaryAfterMagic.
-func readMetaInto(br *bufio.Reader, size int64, ix *Index) error {
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	readString := func() (string, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<28 || (size >= 0 && n > uint64(size)) {
-			return "", corruptf("binary load: implausible string length %d", n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	fail := func(what string, err error) error {
-		if errors.Is(err, ErrCorrupt) {
-			return err
-		}
-		return corruptf("binary load: %s: %v", what, err)
-	}
+// preallocCap bounds an upfront slice allocation for a decoded count: the
+// slice starts at most this many elements and grows by append, so a lying
+// count costs a bounded allocation before the input runs dry.
+const preallocCap = 1 << 16
 
-	nLabels, err := readUvarint()
-	if err != nil {
-		return fail("label count", err)
+// decoder reads the varint framing shared by the GKSI image and the GKS4
+// meta section from a byte slice held in full. The input length bounds
+// every count and string before anything is allocated, so a corrupt count
+// fails instead of demanding a multi-GB allocation; every failure is
+// ErrCorrupt.
+type decoder struct {
+	b    []byte // unread input
+	size int    // total input length
+}
+
+func newDecoder(b []byte) *decoder { return &decoder{b: b, size: len(b)} }
+
+func (d *decoder) uvarint(what string) (uint64, error) {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		return 0, corruptf("binary load: %s: truncated or overlong varint", what)
 	}
-	if _, err := boundedCount("label count", nLabels, 1, size, 1<<31); err != nil {
+	d.b = d.b[n:]
+	return v, nil
+}
+
+func (d *decoder) byte(what string) (byte, error) {
+	if len(d.b) == 0 {
+		return 0, corruptf("binary load: %s: unexpected end of input", what)
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c, nil
+}
+
+// bytes returns the next n input bytes without copying.
+func (d *decoder) bytes(what string, n uint64) ([]byte, error) {
+	if n > uint64(len(d.b)) {
+		return nil, corruptf("binary load: %s: length %d overruns the %d bytes left", what, n, len(d.b))
+	}
+	out := d.b[:n:n]
+	d.b = d.b[n:]
+	return out, nil
+}
+
+func (d *decoder) str(what string) (string, error) {
+	n, err := d.uvarint(what)
+	if err != nil {
+		return "", err
+	}
+	b, err := d.bytes(what, n)
+	return string(b), err
+}
+
+// count reads an element count. Every element occupies at least minBytes
+// bytes of input, so a count exceeding size/minBytes proves corruption;
+// counts are int32-bounded like the ordinals they describe.
+func (d *decoder) count(what string, minBytes int) (int, error) {
+	n, err := d.uvarint(what)
+	if err != nil {
+		return 0, err
+	}
+	if n > 1<<31-1 || n > uint64(d.size/minBytes) {
+		return 0, corruptf("binary load: %s %d exceeds what %d input bytes can hold", what, n, d.size)
+	}
+	return int(n), nil
+}
+
+// i32 reads a uvarint written as value+bias that must land in int32 range
+// after unbiasing.
+func (d *decoder) i32(what string, bias int64) (int32, error) {
+	v, err := d.uvarint(what)
+	if err != nil {
+		return 0, err
+	}
+	u := int64(v) - bias
+	if v > 1<<32 || u < -1 || u > 1<<31-1 {
+		return 0, corruptf("binary load: %s: value %d out of range", what, u)
+	}
+	return int32(u), nil
+}
+
+// labelsAndDocs decodes the label and document-name tables that open both
+// node-table layouts.
+func (d *decoder) labelsAndDocs(ix *Index) error {
+	n, err := d.count("label count", 1)
+	if err != nil {
 		return err
 	}
-	for i := uint64(0); i < nLabels; i++ {
-		l, err := readString()
+	for i := 0; i < n; i++ {
+		l, err := d.str("label")
 		if err != nil {
-			return fail("label", err)
+			return err
 		}
 		ix.labelIDs[l] = int32(len(ix.Labels))
 		ix.Labels = append(ix.Labels, l)
 	}
-	nDocs, err := readUvarint()
-	if err != nil {
-		return fail("doc count", err)
-	}
-	if _, err := boundedCount("doc count", nDocs, 1, size, 1<<31); err != nil {
+	if n, err = d.count("doc count", 1); err != nil {
 		return err
 	}
-	for i := uint64(0); i < nDocs; i++ {
-		d, err := readString()
+	for i := 0; i < n; i++ {
+		name, err := d.str("doc name")
 		if err != nil {
-			return fail("doc name", err)
+			return err
 		}
-		ix.DocNames = append(ix.DocNames, d)
-	}
-
-	rawNodes, err := readUvarint()
-	if err != nil {
-		return fail("node count", err)
-	}
-	// A serialized node is at least 8 bytes (2 dewey varints + label +
-	// category + child count + subtree + parent + has-value flag).
-	nNodes, err := boundedCount("node count", rawNodes, 8, size, 1<<31)
-	if err != nil {
-		return err
-	}
-	ix.Nodes = make([]NodeInfo, 0, min(nNodes, preallocCap))
-	for i := 0; i < nNodes; i++ {
-		var n NodeInfo
-		id, err := readDewey(br)
-		if err != nil {
-			return fail("dewey", err)
-		}
-		n.ID = id
-		label, err := readUvarint()
-		if err != nil {
-			return fail("node label", err)
-		}
-		n.Label = int32(label)
-		cat, err := br.ReadByte()
-		if err != nil {
-			return fail("node category", err)
-		}
-		n.Cat = Category(cat)
-		cc, err := readUvarint()
-		if err != nil {
-			return fail("child count", err)
-		}
-		n.ChildCount = int32(cc)
-		st, err := readUvarint()
-		if err != nil {
-			return fail("subtree", err)
-		}
-		n.Subtree = int32(st)
-		parent, err := readUvarint()
-		if err != nil {
-			return fail("parent", err)
-		}
-		n.Parent = int32(parent) - 1
-		hv, err := br.ReadByte()
-		if err != nil {
-			return fail("has-value flag", err)
-		}
-		if hv == 1 {
-			n.HasValue = true
-			if n.Value, err = readString(); err != nil {
-				return fail("value", err)
-			}
-		}
-		ix.Nodes = append(ix.Nodes, n)
+		ix.DocNames = append(ix.DocNames, name)
 	}
 	return nil
 }
 
-// readMetaPackedInto decodes the writeMetaPacked layout into ix.packed.
-// The per-ordinal dispatch array is reconstructed from the instance ranges
-// and the ascending-ordinal spine rule, and the result must pass the full
-// packed validation before it is accepted — the O(1) accessors index
-// blindly, so a decoded image that would make them misbehave is rejected
-// here as ErrCorrupt.
-func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
-	readUvarint := func() (uint64, error) { return binary.ReadUvarint(br) }
-	fail := func(what string, err error) error {
-		if errors.Is(err, ErrCorrupt) {
+// flatMeta decodes the labels/docs sections and a flat node table (the
+// version 2 layout) into ix. The flat records must pass validateFlat
+// before they are packed — packNodes indexes them blindly — and the
+// packed result must pass the packed checks too.
+func (d *decoder) flatMeta(ix *Index) error {
+	if err := d.labelsAndDocs(ix); err != nil {
+		return err
+	}
+	// A serialized node is at least 8 bytes (2 dewey varints + label +
+	// category + child count + subtree + parent + has-value flag).
+	nNodes, err := d.count("node count", 8)
+	if err != nil {
+		return err
+	}
+	nodes := make([]nodeInfo, 0, min(nNodes, preallocCap))
+	for i := 0; i < nNodes; i++ {
+		var n nodeInfo
+		if n.ID, err = d.dewey(); err != nil {
 			return err
 		}
-		return corruptf("binary load: packed %s: %v", what, err)
-	}
-	readString := func() (string, error) {
-		n, err := readUvarint()
+		if n.Label, err = d.i32("node label", 0); err != nil {
+			return err
+		}
+		cat, err := d.byte("node category")
 		if err != nil {
-			return "", err
+			return err
 		}
-		if n > 1<<28 || (size >= 0 && n > uint64(size)) {
-			return "", corruptf("binary load: implausible string length %d", n)
+		n.Cat = Category(cat)
+		if n.ChildCount, err = d.i32("child count", 0); err != nil {
+			return err
 		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
+		if n.Subtree, err = d.i32("subtree", 0); err != nil {
+			return err
 		}
-		return string(buf), nil
-	}
-	// readI32 decodes a uvarint that was written as value+bias and must
-	// land in int32 range after unbiasing.
-	readI32 := func(what string, bias int64) (int32, error) {
-		v, err := readUvarint()
+		if n.Parent, err = d.i32("parent", 1); err != nil {
+			return err
+		}
+		hv, err := d.byte("has-value flag")
 		if err != nil {
-			return 0, fail(what, err)
+			return err
 		}
-		u := int64(v) - bias
-		if u < -1 || u > 1<<31-1 {
-			return 0, corruptf("binary load: packed %s: value %d out of range", what, u)
+		if hv == 1 {
+			n.HasValue = true
+			if n.Value, err = d.str("value"); err != nil {
+				return err
+			}
 		}
-		return int32(u), nil
+		nodes = append(nodes, n)
 	}
+	if err := validateFlat(nodes, int32(len(ix.Labels))); err != nil {
+		return corruptf("binary load: %v", err)
+	}
+	p := packNodes(nodes)
+	if err := p.validatePacked(); err != nil {
+		return corruptf("binary load: %v", err)
+	}
+	ix.packed = p
+	return nil
+}
 
-	nLabels, err := readUvarint()
-	if err != nil {
-		return fail("label count", err)
-	}
-	if _, err := boundedCount("label count", nLabels, 1, size, 1<<31); err != nil {
-		return err
-	}
-	for i := uint64(0); i < nLabels; i++ {
-		l, err := readString()
-		if err != nil {
-			return fail("label", err)
+// validateFlat checks the structural invariants of flat records: labels
+// in range, parents preceding their children (pre-order), subtree ranges
+// inside the table and non-empty Dewey paths.
+func validateFlat(nodes []nodeInfo, nLabels int32) error {
+	for i := range nodes {
+		n := &nodes[i]
+		switch {
+		case n.Label < 0 || n.Label >= nLabels:
+			return fmt.Errorf("node %d: label %d out of range [0,%d)", i, n.Label, nLabels)
+		case n.Parent < -1 || n.Parent >= int32(i):
+			return fmt.Errorf("node %d: parent %d is not a preceding ordinal", i, n.Parent)
+		case n.ChildCount < 0:
+			return fmt.Errorf("node %d: negative child count %d", i, n.ChildCount)
+		case n.Subtree < 1 || int64(i)+int64(n.Subtree) > int64(len(nodes)):
+			return fmt.Errorf("node %d: subtree size %d overruns %d nodes", i, n.Subtree, len(nodes))
+		case len(n.ID.Path) == 0:
+			return fmt.Errorf("node %d: empty Dewey path", i)
 		}
-		ix.labelIDs[l] = int32(len(ix.Labels))
-		ix.Labels = append(ix.Labels, l)
 	}
-	nDocs, err := readUvarint()
-	if err != nil {
-		return fail("doc count", err)
-	}
-	if _, err := boundedCount("doc count", nDocs, 1, size, 1<<31); err != nil {
-		return err
-	}
-	for i := uint64(0); i < nDocs; i++ {
-		d, err := readString()
-		if err != nil {
-			return fail("doc name", err)
-		}
-		ix.DocNames = append(ix.DocNames, d)
-	}
+	return nil
+}
 
-	rawN, err := readUvarint()
+// dewey decodes one varint-framed Dewey ID.
+func (d *decoder) dewey() (dewey.ID, error) {
+	doc, err := d.uvarint("dewey document")
 	if err != nil {
-		return fail("node count", err)
+		return dewey.ID{}, err
+	}
+	n, err := d.count("dewey path length", 1)
+	if err != nil {
+		return dewey.ID{}, err
+	}
+	path := make([]int32, n)
+	for i := range path {
+		c, err := d.uvarint("dewey component")
+		if err != nil {
+			return dewey.ID{}, err
+		}
+		path[i] = int32(uint32(c))
+	}
+	return dewey.ID{Doc: int32(uint32(doc)), Path: path}, nil
+}
+
+// nodeRecord is one spine or shape row of the writeMeta layout.
+type nodeRecord struct {
+	label, child, subtree, parent, last, depth, val int32
+	cat                                             uint8
+}
+
+// nodeRecord decodes one spine or shape row: label, category byte, child
+// count, subtree, parent+1, trailing Dewey component, depth, value id+1.
+func (d *decoder) nodeRecord() (r nodeRecord, err error) {
+	if r.label, err = d.i32("node label", 0); err != nil {
+		return
+	}
+	if r.cat, err = d.byte("node category"); err != nil {
+		return
+	}
+	if r.child, err = d.i32("node child count", 0); err != nil {
+		return
+	}
+	if r.subtree, err = d.i32("node subtree", 0); err != nil {
+		return
+	}
+	if r.parent, err = d.i32("node parent", 1); err != nil {
+		return
+	}
+	if r.last, err = d.i32("node last component", 0); err != nil {
+		return
+	}
+	if r.depth, err = d.i32("node depth", 0); err != nil {
+		return
+	}
+	r.val, err = d.i32("node value id", 1)
+	return
+}
+
+// packedMeta decodes the writeMeta layout into ix.packed. The per-ordinal
+// dispatch array is reconstructed from the instance ranges and the
+// ascending-ordinal spine rule, and the result must pass the full packed
+// validation before it is accepted — the O(1) accessors index blindly, so
+// a decoded image that would make them misbehave is rejected here as
+// ErrCorrupt.
+func (d *decoder) packedMeta(ix *Index) error {
+	if err := d.labelsAndDocs(ix); err != nil {
+		return err
 	}
 	// Every node costs at least one byte somewhere (spine record, shape
 	// record amortized over instances, or dispatch coverage); 1 is the only
 	// safe per-node floor for a heavily deduplicated table.
-	n, err := boundedCount("node count", rawN, 1, size, 1<<31)
+	n, err := d.count("node count", 1)
 	if err != nil {
 		return err
 	}
-	p := &packedNodes{}
 	// A loaded table starts a fresh delta-append lineage: debt counters
 	// are not serialized (they only drive repack scheduling), so a loaded
 	// image owes nothing until it delta-appends again.
+	p := &packedNodes{}
 	p.app = &appendState{owner: p}
+	capped := func(c int) int { return min(c, preallocCap) }
 
-	rawSpine, err := readUvarint()
-	if err != nil {
-		return fail("spine count", err)
+	nSpine, err := d.count("spine count", 8)
+	if err != nil || nSpine > n {
+		return cmp.Or(err, corruptf("binary load: %d spine records for %d nodes", nSpine, n))
 	}
-	nSpine, err := boundedCount("spine count", rawSpine, 8, size, uint64(n))
-	if err != nil {
-		return err
-	}
-	cap8 := func(c int) int { return min(c, preallocCap) }
-	p.spLabel = make([]int32, 0, cap8(nSpine))
-	p.spCat = make([]uint8, 0, cap8(nSpine))
-	p.spChild = make([]int32, 0, cap8(nSpine))
-	p.spSubtree = make([]int32, 0, cap8(nSpine))
-	p.spParent = make([]int32, 0, cap8(nSpine))
-	p.spLast = make([]int32, 0, cap8(nSpine))
-	p.spDepth = make([]int32, 0, cap8(nSpine))
-	p.spVal = make([]int32, 0, cap8(nSpine))
+	p.spLabel = make([]int32, 0, capped(nSpine))
+	p.spCat = make([]uint8, 0, capped(nSpine))
+	p.spChild = make([]int32, 0, capped(nSpine))
+	p.spSubtree = make([]int32, 0, capped(nSpine))
+	p.spParent = make([]int32, 0, capped(nSpine))
+	p.spLast = make([]int32, 0, capped(nSpine))
+	p.spDepth = make([]int32, 0, capped(nSpine))
+	p.spVal = make([]int32, 0, capped(nSpine))
 	for i := 0; i < nSpine; i++ {
-		label, err := readI32("spine label", 0)
+		r, err := d.nodeRecord()
 		if err != nil {
 			return err
 		}
-		cat, err := br.ReadByte()
-		if err != nil {
-			return fail("spine category", err)
-		}
-		child, err := readI32("spine child count", 0)
-		if err != nil {
-			return err
-		}
-		subtree, err := readI32("spine subtree", 0)
-		if err != nil {
-			return err
-		}
-		parent, err := readI32("spine parent", 1)
-		if err != nil {
-			return err
-		}
-		last, err := readI32("spine last component", 0)
-		if err != nil {
-			return err
-		}
-		depth, err := readI32("spine depth", 0)
-		if err != nil {
-			return err
-		}
-		val, err := readI32("spine value id", 1)
-		if err != nil {
-			return err
-		}
-		p.spLabel = append(p.spLabel, label)
-		p.spCat = append(p.spCat, cat)
-		p.spChild = append(p.spChild, child)
-		p.spSubtree = append(p.spSubtree, subtree)
-		p.spParent = append(p.spParent, parent)
-		p.spLast = append(p.spLast, last)
-		p.spDepth = append(p.spDepth, depth)
-		p.spVal = append(p.spVal, val)
+		p.spLabel = append(p.spLabel, r.label)
+		p.spCat = append(p.spCat, r.cat)
+		p.spChild = append(p.spChild, r.child)
+		p.spSubtree = append(p.spSubtree, r.subtree)
+		p.spParent = append(p.spParent, r.parent)
+		p.spLast = append(p.spLast, r.last)
+		p.spDepth = append(p.spDepth, r.depth)
+		p.spVal = append(p.spVal, r.val)
 	}
 
-	rawInst, err := readUvarint()
-	if err != nil {
-		return fail("instance count", err)
+	nInst, err := d.count("instance count", 5)
+	if err != nil || nInst > n {
+		return cmp.Or(err, corruptf("binary load: %d instances for %d nodes", nInst, n))
 	}
-	nInst, err := boundedCount("instance count", rawInst, 5, size, uint64(n))
-	if err != nil {
-		return err
-	}
-	p.inStart = make([]int32, 0, cap8(nInst))
-	p.inShape = make([]int32, 0, cap8(nInst))
-	p.inParent = make([]int32, 0, cap8(nInst))
-	p.inLast = make([]int32, 0, cap8(nInst))
-	p.inDepth = make([]int32, 0, cap8(nInst))
+	p.inStart = make([]int32, 0, capped(nInst))
+	p.inShape = make([]int32, 0, capped(nInst))
+	p.inParent = make([]int32, 0, capped(nInst))
+	p.inLast = make([]int32, 0, capped(nInst))
+	p.inDepth = make([]int32, 0, capped(nInst))
 	for i := 0; i < nInst; i++ {
-		start, err := readI32("instance start", 0)
-		if err != nil {
+		var start, shape, parent, last, depth int32
+		if start, err = d.i32("instance start", 0); err != nil {
 			return err
 		}
-		shape, err := readI32("instance shape", 0)
-		if err != nil {
+		if shape, err = d.i32("instance shape", 0); err != nil {
 			return err
 		}
-		parent, err := readI32("instance parent", 1)
-		if err != nil {
+		if parent, err = d.i32("instance parent", 1); err != nil {
 			return err
 		}
-		last, err := readI32("instance last component", 0)
-		if err != nil {
+		if last, err = d.i32("instance last component", 0); err != nil {
 			return err
 		}
-		depth, err := readI32("instance depth", 0)
-		if err != nil {
+		if depth, err = d.i32("instance depth", 0); err != nil {
 			return err
 		}
 		p.inStart = append(p.inStart, start)
@@ -707,126 +622,76 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 		p.inDepth = append(p.inDepth, depth)
 	}
 
-	rawShapes, err := readUvarint()
-	if err != nil {
-		return fail("shape count", err)
+	nShapes, err := d.count("shape count", 9)
+	if err != nil || nShapes > n+1 {
+		return cmp.Or(err, corruptf("binary load: %d shapes for %d nodes", nShapes, n))
 	}
-	nShapes, err := boundedCount("shape count", rawShapes, 9, size, uint64(n)+1)
-	if err != nil {
-		return err
-	}
-	p.shOff = make([]int32, 0, cap8(nShapes+1))
+	p.shOff = make([]int32, 0, capped(nShapes+1))
 	p.shOff = append(p.shOff, 0)
 	for s := 0; s < nShapes; s++ {
-		rawSize, err := readUvarint()
-		if err != nil {
-			return fail("shape size", err)
-		}
-		shSize, err := boundedCount("shape size", rawSize, 8, size, uint64(n))
-		if err != nil {
-			return err
-		}
-		if shSize < 1 {
-			return corruptf("binary load: packed shape %d: empty shape", s)
+		shSize, err := d.count("shape size", 8)
+		if err != nil || shSize < 1 || shSize > n {
+			return cmp.Or(err, corruptf("binary load: packed shape %d: size %d", s, shSize))
 		}
 		for k := 0; k < shSize; k++ {
-			label, err := readI32("shape label", 0)
+			r, err := d.nodeRecord()
 			if err != nil {
 				return err
 			}
-			cat, err := br.ReadByte()
-			if err != nil {
-				return fail("shape category", err)
-			}
-			child, err := readI32("shape child count", 0)
-			if err != nil {
-				return err
-			}
-			subtree, err := readI32("shape subtree", 0)
-			if err != nil {
-				return err
-			}
-			parent, err := readI32("shape parent", 1)
-			if err != nil {
-				return err
-			}
-			last, err := readI32("shape last component", 0)
-			if err != nil {
-				return err
-			}
-			depth, err := readI32("shape depth", 0)
-			if err != nil {
-				return err
-			}
-			val, err := readI32("shape value id", 1)
-			if err != nil {
-				return err
-			}
-			p.shLabel = append(p.shLabel, label)
-			p.shCat = append(p.shCat, cat)
-			p.shChild = append(p.shChild, child)
-			p.shSubtree = append(p.shSubtree, subtree)
-			p.shParent = append(p.shParent, parent)
-			p.shLast = append(p.shLast, last)
-			p.shDepth = append(p.shDepth, depth)
-			p.shVal = append(p.shVal, val)
+			p.shLabel = append(p.shLabel, r.label)
+			p.shCat = append(p.shCat, r.cat)
+			p.shChild = append(p.shChild, r.child)
+			p.shSubtree = append(p.shSubtree, r.subtree)
+			p.shParent = append(p.shParent, r.parent)
+			p.shLast = append(p.shLast, r.last)
+			p.shDepth = append(p.shDepth, r.depth)
+			p.shVal = append(p.shVal, r.val)
 		}
 		p.shOff = append(p.shOff, int32(len(p.shLabel)))
 	}
 
-	rawVals, err := readUvarint()
-	if err != nil {
-		return fail("value count", err)
-	}
-	nVals, err := boundedCount("value count", rawVals, 1, size, 1<<31)
+	nVals, err := d.count("value count", 1)
 	if err != nil {
 		return err
 	}
-	arenaLen, err := readUvarint()
+	arenaLen, err := d.uvarint("value arena length")
 	if err != nil {
-		return fail("value arena length", err)
+		return err
 	}
-	if arenaLen > 1<<31 || (size >= 0 && arenaLen > uint64(size)) {
-		return corruptf("binary load: packed value arena length %d exceeds input", arenaLen)
+	arena, err := d.bytes("value arena", arenaLen)
+	if err != nil {
+		return err
 	}
-	p.valArena = make([]byte, arenaLen)
-	if _, err := io.ReadFull(br, p.valArena); err != nil {
-		return fail("value arena", err)
-	}
-	p.valOff = make([]int32, 0, cap8(nVals+1))
+	p.valArena = bytes.Clone(arena)
+	p.valOff = make([]int32, 0, capped(nVals+1))
 	p.valOff = append(p.valOff, 0)
-	off := int64(0)
+	off := uint64(0)
 	for v := 0; v < nVals; v++ {
-		l, err := readUvarint()
+		l, err := d.uvarint("value length")
 		if err != nil {
-			return fail("value length", err)
+			return err
 		}
-		off += int64(l)
-		if off > int64(arenaLen) {
+		if off += l; off > arenaLen {
 			return corruptf("binary load: packed value lengths overrun arena")
 		}
 		p.valOff = append(p.valOff, int32(off))
 	}
-	if off != int64(arenaLen) {
+	if off != arenaLen {
 		return corruptf("binary load: packed value lengths cover %d of %d arena bytes", off, arenaLen)
 	}
 
-	rawRoots, err := readUvarint()
-	if err != nil {
-		return fail("doc root count", err)
+	nRoots, err := d.count("doc root count", 2)
+	if err != nil || nRoots > n {
+		return cmp.Or(err, corruptf("binary load: %d document roots for %d nodes", nRoots, n))
 	}
-	nRoots, err := boundedCount("doc root count", rawRoots, 2, size, uint64(n))
-	if err != nil {
-		return err
-	}
-	p.docStart = make([]int32, 0, cap8(nRoots))
-	p.docNum = make([]int32, 0, cap8(nRoots))
+	p.docStart = make([]int32, 0, capped(nRoots))
+	p.docNum = make([]int32, 0, capped(nRoots))
 	for k := 0; k < nRoots; k++ {
-		start, err := readI32("doc root start", 0)
+		start, err := d.i32("doc root start", 0)
 		if err != nil {
 			return err
 		}
-		num, err := readI32("doc root number", 0)
+		num, err := d.i32("doc root number", 0)
 		if err != nil {
 			return err
 		}
@@ -836,9 +701,10 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 
 	// Reconstruct the dispatch array: instance ranges claim their spans,
 	// the remaining ordinals take spine slots in ascending order.
+	const unset = -1 << 31
 	p.ordInst = make([]int32, n)
 	for ord := range p.ordInst {
-		p.ordInst[ord] = -1 << 31 // poison: must be overwritten below
+		p.ordInst[ord] = unset
 	}
 	for i := int32(0); i < int32(len(p.inStart)); i++ {
 		s := p.inShape[i]
@@ -851,7 +717,7 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 			return corruptf("binary load: packed instance %d: range overruns node table", i)
 		}
 		for k := int32(0); k < sz; k++ {
-			if p.ordInst[start+k] != -1<<31 {
+			if p.ordInst[start+k] != unset {
 				return corruptf("binary load: packed instance %d overlaps another", i)
 			}
 			p.ordInst[start+k] = i
@@ -859,7 +725,7 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 	}
 	slot := int32(0)
 	for ord := range p.ordInst {
-		if p.ordInst[ord] == -1<<31 {
+		if p.ordInst[ord] == unset {
 			if int(slot) >= nSpine {
 				return corruptf("binary load: packed table needs more than %d spine slots", nSpine)
 			}
@@ -883,28 +749,4 @@ func readMetaPackedInto(br *bufio.Reader, size int64, ix *Index) error {
 	}
 	ix.packed = p
 	return nil
-}
-
-// readDewey decodes one varint-framed Dewey ID from the reader.
-func readDewey(br *bufio.Reader) (dewey.ID, error) {
-	doc, err := binary.ReadUvarint(br)
-	if err != nil {
-		return dewey.ID{}, err
-	}
-	length, err := binary.ReadUvarint(br)
-	if err != nil {
-		return dewey.ID{}, err
-	}
-	if length > 1<<20 {
-		return dewey.ID{}, fmt.Errorf("implausible path length %d", length)
-	}
-	path := make([]int32, length)
-	for i := range path {
-		c, err := binary.ReadUvarint(br)
-		if err != nil {
-			return dewey.ID{}, err
-		}
-		path[i] = int32(uint32(c))
-	}
-	return dewey.ID{Doc: int32(uint32(doc)), Path: path}, nil
 }

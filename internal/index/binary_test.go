@@ -2,6 +2,10 @@ package index
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -12,34 +16,37 @@ import (
 func TestBinaryRoundTrip(t *testing.T) {
 	ix := buildFig2a(t)
 	var buf bytes.Buffer
-	if err := ix.SaveBinary(&buf); err != nil {
+	if err := ix.writeBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadBinary(bytes.NewReader(buf.Bytes()))
+	back, err := decodeBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertIndexesEqual(t, ix, back)
 }
 
-func TestLoadAutoDetectsBinary(t *testing.T) {
-	ix := buildFig2a(t)
-	var bin, gob bytes.Buffer
-	if err := ix.SaveBinary(&bin); err != nil {
-		t.Fatal(err)
+// TestLoadRejectsRetiredFormats pins that the retired gob v1 and bare
+// GKSI encodings — real images written before they were retired — fail
+// with a typed ErrCorrupt that names the format, never a panic.
+func TestLoadRejectsRetiredFormats(t *testing.T) {
+	for file, name := range map[string]string{
+		"retired-v1.gob":  "gob v1",
+		"retired-v2.gksi": "bare GKSI",
+	} {
+		img, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Load(bytes.NewReader(img))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: want ErrCorrupt naming %q, got %v", file, name, err)
+		}
+		_, err = LoadFile(filepath.Join("testdata", file))
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), file) {
+			t.Errorf("LoadFile(%s): want ErrCorrupt naming the file, got %v", file, err)
+		}
 	}
-	if err := ix.Save(&gob); err != nil {
-		t.Fatal(err)
-	}
-	fromBin, err := Load(&bin)
-	if err != nil {
-		t.Fatalf("auto-detect binary: %v", err)
-	}
-	fromGob, err := Load(&gob)
-	if err != nil {
-		t.Fatalf("auto-detect gob: %v", err)
-	}
-	assertIndexesEqual(t, fromBin, fromGob)
 }
 
 func TestBinaryRoundTripLargeDataset(t *testing.T) {
@@ -49,50 +56,26 @@ func TestBinaryRoundTripLargeDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.SaveBinary(&buf); err != nil {
+	if err := ix.writeBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadBinary(bytes.NewReader(buf.Bytes()))
+	back, err := decodeBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertIndexesEqual(t, ix, back)
 }
 
-func TestBinarySmallerThanGob(t *testing.T) {
-	doc := datagen.SwissProt(datagen.Config{Seed: 3})
-	ix, err := BuildDocument(doc, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bin, gobBuf bytes.Buffer
-	if err := ix.SaveBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Save(&gobBuf); err != nil {
-		t.Fatal(err)
-	}
-	if bin.Len() >= gobBuf.Len() {
-		t.Errorf("binary format (%d bytes) should beat gob (%d bytes)", bin.Len(), gobBuf.Len())
-	}
-	t.Logf("binary %d bytes vs gob %d bytes (%.1f%%)",
-		bin.Len(), gobBuf.Len(), 100*float64(bin.Len())/float64(gobBuf.Len()))
-}
-
 func TestBinaryLoadErrors(t *testing.T) {
-	if _, err := LoadBinary(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input must fail")
-	}
-	if _, err := LoadBinary(bytes.NewReader([]byte("NOPE"))); err == nil {
-		t.Error("bad magic must fail")
-	}
-	if _, err := LoadBinary(bytes.NewReader([]byte("GKSI\x63"))); err == nil {
-		t.Error("bad version must fail")
+	for _, img := range []string{"", "NOPE", "GKSI\x63"} {
+		if _, err := decodeBinary([]byte(img)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("decodeBinary(%q) = %v, want ErrCorrupt", img, err)
+		}
 	}
 	// Truncations at every prefix length must fail, not panic.
 	ix := buildFig2a(t)
 	var buf bytes.Buffer
-	if err := ix.SaveBinary(&buf); err != nil {
+	if err := ix.writeBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -100,7 +83,7 @@ func TestBinaryLoadErrors(t *testing.T) {
 		if cut >= len(full) {
 			continue
 		}
-		if _, err := LoadBinary(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := decodeBinary(full[:cut]); err == nil {
 			t.Errorf("truncation at %d bytes must fail", cut)
 		}
 	}
@@ -109,10 +92,10 @@ func TestBinaryLoadErrors(t *testing.T) {
 func TestBinaryDeterministic(t *testing.T) {
 	ix := buildFig2a(t)
 	var a, b bytes.Buffer
-	if err := ix.SaveBinary(&a); err != nil {
+	if err := ix.writeBinary(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.SaveBinary(&b); err != nil {
+	if err := ix.writeBinary(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -120,19 +103,34 @@ func TestBinaryDeterministic(t *testing.T) {
 	}
 }
 
-func assertIndexesEqual(t *testing.T, a, b *Index) {
-	t.Helper()
-	if len(a.Nodes) != len(b.Nodes) {
-		t.Fatalf("node counts differ: %d vs %d", len(a.Nodes), len(b.Nodes))
+// records materializes every node record of ix, tombstoned ones included.
+func records(ix *Index) []nodeInfo {
+	out := make([]nodeInfo, ix.NodeCount())
+	for ord := range out {
+		out[ord] = ix.packed.nodeInfo(int32(ord))
 	}
-	for i := range a.Nodes {
-		na, nb := &a.Nodes[i], &b.Nodes[i]
+	return out
+}
+
+// assertRecordsEqual compares two flat node tables field by field.
+func assertRecordsEqual(t *testing.T, a, b []nodeInfo) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("node counts differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		na, nb := &a[i], &b[i]
 		if !dewey.Equal(na.ID, nb.ID) || na.Label != nb.Label || na.Cat != nb.Cat ||
 			na.ChildCount != nb.ChildCount || na.Subtree != nb.Subtree ||
 			na.Parent != nb.Parent || na.HasValue != nb.HasValue || na.Value != nb.Value {
-			t.Fatalf("node %d differs: %+v vs %+v", i, na, nb)
+			t.Fatalf("node %d differs: %+v vs %+v", i, *na, *nb)
 		}
 	}
+}
+
+func assertIndexesEqual(t *testing.T, a, b *Index) {
+	t.Helper()
+	assertRecordsEqual(t, records(a), records(b))
 	if len(a.Postings) != len(b.Postings) {
 		t.Fatalf("posting keys differ: %d vs %d", len(a.Postings), len(b.Postings))
 	}
@@ -168,10 +166,10 @@ func TestMultiDocBinaryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ix.SaveBinary(&buf); err != nil {
+	if err := ix.writeBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf)
+	back, err := decodeBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,10 +61,13 @@ func (c Category) String() string {
 	return s
 }
 
-// NodeInfo is the per-element record kept by the index. It subsumes the
-// paper's entityHash and elementHash (§2.4): both hash tables "store the
-// number of direct children each node has", which is exactly ChildCount.
-type NodeInfo struct {
+// nodeInfo is the flat per-element record the builders emit. It subsumes
+// the paper's entityHash and elementHash (§2.4): both hash tables "store
+// the number of direct children each node has", which is exactly
+// ChildCount. Flat records live only at build time (flatIndex): every
+// serving Index holds the packed node table of packed.go, whose accessors
+// resolve the same fields.
+type nodeInfo struct {
 	// ID is the node's Dewey identifier.
 	ID dewey.ID
 	// Label is an index into Index.Labels.
@@ -92,8 +95,6 @@ type NodeInfo struct {
 type Index struct {
 	// Labels is the interned element-label table.
 	Labels []string
-	// Nodes lists all element nodes in pre-order (Dewey order).
-	Nodes []NodeInfo
 	// Postings maps a normalized keyword to the sorted ordinals of the
 	// element nodes that directly contain it (text keywords) or carry it
 	// as their tag (element-name keywords).
@@ -116,9 +117,9 @@ type Index struct {
 	// set together with tomb: mutations materialize first. See lazy.go.
 	lazy *lazyState
 
-	// packed, when non-nil, holds the DAG-compressed node table and Nodes
-	// is nil: all structural reads go through the accessor methods below,
-	// which resolve against the packed arrays. See packed.go.
+	// packed is the DAG-compressed node table: element nodes in pre-order
+	// (Dewey order), read through the accessor methods below. See
+	// packed.go.
 	packed *packedNodes
 }
 
@@ -152,9 +153,9 @@ type Options struct {
 
 // SizeHint carries expected sizes for Build's backing structures.
 type SizeHint struct {
-	// Nodes is the expected element-node count (capacity of Index.Nodes —
-	// NodeInfo is large, so avoiding re-growth of this table is the
-	// biggest single saving).
+	// Nodes is the expected element-node count (capacity of the builder's
+	// flat node records — they are large, so avoiding re-growth of this
+	// table is the biggest single saving).
 	Nodes int
 	// Terms is the expected number of distinct keywords (initial size of
 	// the postings map).
@@ -169,17 +170,50 @@ func DefaultOptions() Options { return Options{IndexElementNames: true} }
 
 // Build indexes the repository in one pass.
 func Build(repo *xmltree.Repository, opts Options) (*Index, error) {
+	f, err := buildFlat(repo, opts)
+	if err != nil {
+		return nil, err
+	}
+	return f.pack(), nil
+}
+
+// BuildDocument indexes a single document as a one-document repository.
+func BuildDocument(doc *xmltree.Document, opts Options) (*Index, error) {
+	return Build(&xmltree.Repository{Docs: []*xmltree.Document{doc}}, opts)
+}
+
+// flatIndex is the build-time form of an index: ix carries the label
+// table, postings, document names and finalized statistics, while the
+// node table is still the flat pre-order record slice. The tree and
+// stream builders and the splice/merge code produce it; pack turns it
+// into a serving Index.
+type flatIndex struct {
+	ix    *Index
+	nodes []nodeInfo
+}
+
+// pack attaches the packed node table built from the flat records and
+// returns the serving index.
+func (f *flatIndex) pack() *Index {
+	f.ix.packed = packNodes(f.nodes)
+	return f.ix
+}
+
+// buildFlat is Build up to (not including) packing.
+func buildFlat(repo *xmltree.Repository, opts Options) (*flatIndex, error) {
 	if repo == nil || len(repo.Docs) == 0 {
 		return nil, fmt.Errorf("index: empty repository")
 	}
-	ix := &Index{
-		Postings: make(map[string][]int32, opts.Hint.Terms),
-		labelIDs: make(map[string]int32),
+	b := builder{
+		f: &flatIndex{ix: &Index{
+			Postings: make(map[string][]int32, opts.Hint.Terms),
+			labelIDs: make(map[string]int32),
+		}},
+		opts: opts,
 	}
 	if opts.Hint.Nodes > 0 {
-		ix.Nodes = make([]NodeInfo, 0, opts.Hint.Nodes)
+		b.f.nodes = make([]nodeInfo, 0, opts.Hint.Nodes)
 	}
-	b := builder{ix: ix, opts: opts}
 	if opts.Hint.Terms > 0 && opts.Hint.Postings > opts.Hint.Terms {
 		b.listCap = opts.Hint.Postings / opts.Hint.Terms
 	}
@@ -190,37 +224,32 @@ func Build(repo *xmltree.Repository, opts Options) (*Index, error) {
 		if !doc.Root.IsElement() {
 			return nil, fmt.Errorf("index: document %q root is not an element", doc.Name)
 		}
-		ix.DocNames = append(ix.DocNames, doc.Name)
+		b.f.ix.DocNames = append(b.f.ix.DocNames, doc.Name)
 		b.walk(doc.Root, false, -1, 0)
 	}
-	ix.finalizeStats()
-	return ix, nil
-}
-
-// BuildDocument indexes a single document as a one-document repository.
-func BuildDocument(doc *xmltree.Document, opts Options) (*Index, error) {
-	return Build(&xmltree.Repository{Docs: []*xmltree.Document{doc}}, opts)
+	b.f.finalizeStats()
+	return b.f, nil
 }
 
 type builder struct {
-	ix   *Index
+	f    *flatIndex
 	opts Options
 	// listCap seeds the capacity of new posting lists (average postings
 	// per term from Options.Hint), 0 to grow on demand.
 	listCap int
 }
 
-// walk classifies n, appends its NodeInfo, indexes its keywords and returns
+// walk classifies n, appends its node record, indexes its keywords and returns
 // the attribute/repeating visibility of n's subtree as seen from its parent
 // (§2.2): qualAttr is true when the subtree exposes an attribute node not
 // hidden inside a repeating node; repVis is true when it exposes a
 // repeating-node endpoint.
 func (b *builder) walk(n *xmltree.Node, isRep bool, parent int32, depth int) (qualAttr, repVis bool) {
-	ix := b.ix
-	ord := int32(len(ix.Nodes))
-	ix.Nodes = append(ix.Nodes, NodeInfo{
+	ix := b.f.ix
+	ord := int32(len(b.f.nodes))
+	b.f.nodes = append(b.f.nodes, nodeInfo{
 		ID:         n.ID,
-		Label:      b.labelID(n.Label),
+		Label:      ix.labelID(n.Label),
 		ChildCount: int32(len(n.Children)),
 		Parent:     parent,
 	})
@@ -282,8 +311,8 @@ func (b *builder) walk(n *xmltree.Node, isRep bool, parent int32, depth int) (qu
 		}
 	}
 
-	info := &ix.Nodes[ord]
-	info.Subtree = int32(len(ix.Nodes)) - ord
+	info := &b.f.nodes[ord]
+	info.Subtree = int32(len(b.f.nodes)) - ord
 	if hasText {
 		info.HasValue = true
 		info.Value = value
@@ -371,33 +400,56 @@ func countTextChildren(n *xmltree.Node) int {
 	return count
 }
 
-func (b *builder) labelID(label string) int32 {
-	if id, ok := b.ix.labelIDs[label]; ok {
-		return id
-	}
-	id := int32(len(b.ix.Labels))
-	b.ix.Labels = append(b.ix.Labels, label)
-	b.ix.labelIDs[label] = id
-	return id
-}
-
 func (b *builder) post(keyword string, ord int32) {
-	list, ok := b.ix.Postings[keyword]
+	list, ok := b.f.ix.Postings[keyword]
 	if !ok && b.listCap > 0 {
 		list = make([]int32, 0, b.listCap)
 	}
-	b.ix.Postings[keyword] = append(list, ord)
+	b.f.ix.Postings[keyword] = append(list, ord)
 }
 
-func (ix *Index) finalizeStats() {
-	s := &ix.Stats
-	s.Documents = len(ix.DocNames)
-	s.ElementNodes = ix.NodeCount()
-	ix.RefreshCategoryStats()
-	s.DistinctKeywords = len(ix.Postings)
+// labelID interns label into the label table.
+func (ix *Index) labelID(label string) int32 {
+	if id, ok := ix.labelIDs[label]; ok {
+		return id
+	}
+	id := int32(len(ix.Labels))
+	ix.Labels = append(ix.Labels, label)
+	ix.labelIDs[label] = id
+	return id
+}
+
+// finalizeStats fills the counters a build derives from the finished flat
+// table; TextNodes and MaxDepth are accumulated by the builders as they
+// go.
+func (f *flatIndex) finalizeStats() {
+	s := &f.ix.Stats
+	s.Documents = len(f.ix.DocNames)
+	s.ElementNodes = len(f.nodes)
+	s.AttributeNodes, s.RepeatingNodes, s.EntityNodes, s.ConnectingNodes = 0, 0, 0, 0
+	for i := range f.nodes {
+		s.addCategory(f.nodes[i].Cat)
+	}
+	s.DistinctKeywords = len(f.ix.Postings)
 	s.PostingEntries = 0
-	for _, p := range ix.Postings {
+	for _, p := range f.ix.Postings {
 		s.PostingEntries += len(p)
+	}
+}
+
+// addCategory counts one node of category set c.
+func (s *Stats) addCategory(c Category) {
+	if c&Attribute != 0 {
+		s.AttributeNodes++
+	}
+	if c&Repeating != 0 {
+		s.RepeatingNodes++
+	}
+	if c&Entity != 0 {
+		s.EntityNodes++
+	}
+	if c&Connecting != 0 {
+		s.ConnectingNodes++
 	}
 }
 
@@ -410,19 +462,7 @@ func (ix *Index) RefreshCategoryStats() {
 	s.AttributeNodes, s.RepeatingNodes, s.EntityNodes, s.ConnectingNodes = 0, 0, 0, 0
 	for _, sp := range ix.LiveSpans() {
 		for ord := sp[0]; ord < sp[1]; ord++ {
-			c := ix.CatOf(ord)
-			if c&Attribute != 0 {
-				s.AttributeNodes++
-			}
-			if c&Repeating != 0 {
-				s.RepeatingNodes++
-			}
-			if c&Entity != 0 {
-				s.EntityNodes++
-			}
-			if c&Connecting != 0 {
-				s.ConnectingNodes++
-			}
+			s.addCategory(ix.CatOf(ord))
 		}
 	}
 }
@@ -444,96 +484,57 @@ func (ix *Index) LabelOf(ord int32) string { return ix.Labels[ix.LabelIDOf(ord)]
 // LabelIDOf returns the interned label id (index into Labels) of the node
 // at ord.
 func (ix *Index) LabelIDOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.labelOf(ord)
-	}
-	return ix.Nodes[ord].Label
+	return ix.packed.labelOf(ord)
 }
 
 // CatOf returns the category bit set of the node at ord.
 func (ix *Index) CatOf(ord int32) Category {
-	if ix.packed != nil {
-		return ix.packed.catOf(ord)
-	}
-	return ix.Nodes[ord].Cat
+	return ix.packed.catOf(ord)
 }
 
 // ChildCountOf returns the direct child count (elements and text nodes) of
 // the node at ord.
 func (ix *Index) ChildCountOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.childCountOf(ord)
-	}
-	return ix.Nodes[ord].ChildCount
+	return ix.packed.childCountOf(ord)
 }
 
 // SubtreeSizeOf returns the element count of the subtree rooted at ord,
 // including ord itself.
 func (ix *Index) SubtreeSizeOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.subtreeOf(ord)
-	}
-	return ix.Nodes[ord].Subtree
+	return ix.packed.subtreeOf(ord)
 }
 
 // DepthOf returns the Dewey depth of the node at ord (document roots are
-// depth 0). On both representations this is O(1): the flat table stores
-// full paths, the packed table stores depths explicitly.
+// depth 0), in O(1): the packed table stores depths explicitly.
 func (ix *Index) DepthOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.depthOf(ord)
-	}
-	return int32(ix.Nodes[ord].ID.Depth())
+	return ix.packed.depthOf(ord)
 }
 
 // HasValueAt reports whether the node at ord directly contains text.
 func (ix *Index) HasValueAt(ord int32) bool {
-	if ix.packed != nil {
-		return ix.packed.valIDOf(ord) >= 0
-	}
-	return ix.Nodes[ord].HasValue
+	return ix.packed.valIDOf(ord) >= 0
 }
 
 // ValueAt returns the concatenated direct text of the node at ord ("" when
 // HasValueAt is false).
 func (ix *Index) ValueAt(ord int32) string {
-	if ix.packed != nil {
-		if v := ix.packed.valIDOf(ord); v >= 0 {
-			return ix.packed.value(v)
-		}
-		return ""
+	if v := ix.packed.valIDOf(ord); v >= 0 {
+		return ix.packed.value(v)
 	}
-	return ix.Nodes[ord].Value
+	return ""
 }
 
-// IDOf returns the Dewey identifier of the node at ord. On a packed index
-// the path is materialized by a parent-chain walk (lazy expansion); result
+// IDOf returns the Dewey identifier of the node at ord. The path is
+// materialized by a parent-chain walk (lazy expansion); result
 // formatting is the only hot caller, so the allocation stays off the
 // query's merge/window path.
 func (ix *Index) IDOf(ord int32) dewey.ID {
-	if ix.packed != nil {
-		return ix.packed.idOf(ord)
-	}
-	return ix.Nodes[ord].ID
+	return ix.packed.idOf(ord)
 }
 
 // DocOf returns the Dewey document number of the node at ord.
 func (ix *Index) DocOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.docOf(ord)
-	}
-	return ix.Nodes[ord].ID.Doc
-}
-
-// Info returns the NodeInfo at ord. On a packed index the record is
-// materialized on the fly; callers that need a single field should prefer
-// the field accessors, which do not allocate.
-func (ix *Index) Info(ord int32) *NodeInfo {
-	if ix.packed != nil {
-		n := ix.packed.nodeInfo(ord)
-		return &n
-	}
-	return &ix.Nodes[ord]
+	return ix.packed.docOf(ord)
 }
 
 // IsEntity mirrors the paper's isEntity(DeweyId) helper: it returns the
@@ -558,18 +559,10 @@ func (ix *Index) IsElement(ord int32) int32 {
 // OrdinalOf locates the element with the given Dewey ID by binary search
 // over the pre-order node table. Tombstoned nodes are not found.
 func (ix *Index) OrdinalOf(id dewey.ID) (int32, bool) {
-	if p := ix.packed; p != nil {
-		n := len(p.ordInst)
-		i := sort.Search(n, func(i int) bool { return p.compareID(int32(i), id) >= 0 })
-		if i < n && p.compareID(int32(i), id) == 0 && ix.LiveOrd(int32(i)) {
-			return int32(i), true
-		}
-		return 0, false
-	}
-	i := sort.Search(len(ix.Nodes), func(i int) bool {
-		return dewey.Compare(ix.Nodes[i].ID, id) >= 0
-	})
-	if i < len(ix.Nodes) && dewey.Equal(ix.Nodes[i].ID, id) && ix.LiveOrd(int32(i)) {
+	p := ix.packed
+	n := len(p.ordInst)
+	i := sort.Search(n, func(i int) bool { return p.compareID(int32(i), id) >= 0 })
+	if i < n && p.compareID(int32(i), id) == 0 && ix.LiveOrd(int32(i)) {
 		return int32(i), true
 	}
 	return 0, false
@@ -602,10 +595,7 @@ func (ix *Index) LowestEntityAncestorOrSelf(ord int32) (int32, bool) {
 
 // ParentOf returns the ordinal of ord's parent element, or -1 at a root.
 func (ix *Index) ParentOf(ord int32) int32 {
-	if ix.packed != nil {
-		return ix.packed.parentOf(ord)
-	}
-	return ix.Nodes[ord].Parent
+	return ix.packed.parentOf(ord)
 }
 
 // PathLabels returns the element labels on the path from (and including)
@@ -649,43 +639,26 @@ func (ix *Index) ValueNodesUnder(e int32) []int32 {
 }
 
 // Validate checks the structural invariants a healthy index satisfies:
-// labels in range, parents preceding their children (pre-order), subtree
-// ranges inside the node table, and posting lists strictly increasing
-// within bounds. A decoded snapshot that passes the checksum but was
-// written by a buggy or hostile producer is caught here before it is
-// swapped into a serving system; reload paths call this between load and
-// swap.
+// the packed node table is internally consistent (parents precede their
+// children, subtree ranges and instance ranges stay inside the table),
+// labels are in range, and posting lists are strictly increasing within
+// bounds. A decoded snapshot that passes the checksum but was written by a
+// buggy or hostile producer is caught here before it is swapped into a
+// serving system; reload paths call this between load and swap.
 func (ix *Index) Validate() error {
-	nNodes := ix.NodeCount()
+	p := ix.packed
+	if err := p.validatePacked(); err != nil {
+		return err
+	}
 	nLabels := int32(len(ix.Labels))
-	if p := ix.packed; p != nil {
-		if err := p.validatePacked(); err != nil {
-			return err
-		}
-		for _, arr := range [][]int32{p.spLabel, p.shLabel} {
-			for i, l := range arr {
-				if l < 0 || l >= nLabels {
-					return fmt.Errorf("index: validate: packed node record %d: label %d out of range [0,%d)", i, l, nLabels)
-				}
-			}
-		}
-	} else {
-		for i := range ix.Nodes {
-			n := &ix.Nodes[i]
-			if n.Label < 0 || n.Label >= nLabels {
-				return fmt.Errorf("index: validate: node %d: label %d out of range [0,%d)", i, n.Label, nLabels)
-			}
-			if n.Parent < -1 || n.Parent >= int32(i) {
-				return fmt.Errorf("index: validate: node %d: parent %d is not a preceding ordinal", i, n.Parent)
-			}
-			if n.ChildCount < 0 {
-				return fmt.Errorf("index: validate: node %d: negative child count %d", i, n.ChildCount)
-			}
-			if n.Subtree < 1 || int64(i)+int64(n.Subtree) > int64(nNodes) {
-				return fmt.Errorf("index: validate: node %d: subtree size %d overruns %d nodes", i, n.Subtree, nNodes)
+	for _, arr := range [][]int32{p.spLabel, p.shLabel} {
+		for i, l := range arr {
+			if l < 0 || l >= nLabels {
+				return fmt.Errorf("index: validate: packed node record %d: label %d out of range [0,%d)", i, l, nLabels)
 			}
 		}
 	}
+	nNodes := ix.NodeCount()
 	for kw, list := range ix.Postings {
 		prev := int32(-1)
 		for _, ord := range list {

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"sort"
 	"testing"
 
@@ -25,7 +26,7 @@ func catOf(t *testing.T, ix *Index, id string) Category {
 	if !ok {
 		t.Fatalf("node %s not found", id)
 	}
-	return ix.Nodes[ord].Cat
+	return ix.CatOf(ord)
 }
 
 func TestFigure2aCategories(t *testing.T) {
@@ -92,7 +93,7 @@ func TestPostingsTable3(t *testing.T) {
 		t.Fatalf("karen postings = %d entries, want %d", len(karen), len(want))
 	}
 	for i, ord := range karen {
-		if got := ix.Nodes[ord].ID.String(); got != want[i] {
+		if got := ix.IDOf(ord).String(); got != want[i] {
 			t.Errorf("karen[%d] = %s, want %s", i, got, want[i])
 		}
 	}
@@ -189,7 +190,7 @@ func TestLowestEntityAncestorOrSelf(t *testing.T) {
 	if !ok {
 		t.Fatal("student must have an entity ancestor")
 	}
-	if got := ix.Nodes[e].ID.String(); got != "0.0.1.1.0" {
+	if got := ix.IDOf(e).String(); got != "0.0.1.1.0" {
 		t.Errorf("LCE lift of student = %s, want Course 0.0.1.1.0", got)
 	}
 	// An entity node lifts to itself.
@@ -253,10 +254,10 @@ func TestValueNodesUnder(t *testing.T) {
 
 func TestOrdinalOf(t *testing.T) {
 	ix := buildFig2a(t)
-	for ord := range ix.Nodes {
-		got, ok := ix.OrdinalOf(ix.Nodes[ord].ID)
-		if !ok || got != int32(ord) {
-			t.Fatalf("OrdinalOf(%s) = %d/%v, want %d", ix.Nodes[ord].ID, got, ok, ord)
+	for ord := range int32(ix.NodeCount()) {
+		got, ok := ix.OrdinalOf(ix.IDOf(ord))
+		if !ok || got != ord {
+			t.Fatalf("OrdinalOf(%s) = %d/%v, want %d", ix.IDOf(ord), got, ok, ord)
 		}
 	}
 	if _, ok := ix.OrdinalOf(dewey.MustParse("0.0.9.9")); ok {
@@ -290,7 +291,7 @@ func TestMultiDocumentIndex(t *testing.T) {
 	if len(karen) != 4 {
 		t.Fatalf("karen across documents = %d, want 4", len(karen))
 	}
-	last := ix.Nodes[karen[len(karen)-1]].ID
+	last := ix.IDOf(karen[len(karen)-1])
 	if last.Doc != 1 {
 		t.Errorf("last karen posting in doc %d, want 1", last.Doc)
 	}
@@ -315,15 +316,15 @@ func TestBuildErrors(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ix := buildFig2a(t)
 	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	if err := ix.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Nodes) != len(ix.Nodes) {
-		t.Fatalf("nodes %d != %d", len(back.Nodes), len(ix.Nodes))
+	if back.NodeCount() != ix.NodeCount() {
+		t.Fatalf("nodes %d != %d", back.NodeCount(), ix.NodeCount())
 	}
 	if back.Stats != ix.Stats {
 		t.Errorf("stats differ: %+v vs %+v", back.Stats, ix.Stats)
@@ -338,8 +339,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gob"))); err == nil {
-		t.Error("garbage input must fail")
+	if _, err := Load(bytes.NewReader([]byte("not an index"))); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("garbage input: got %v, want ErrCorrupt", err)
 	}
 }
 
@@ -358,28 +359,33 @@ func TestSizeBytes(t *testing.T) {
 	}
 }
 
-// TestSizeBytesPacked pins that SizeBytes reports the shipping v3 size of
-// a packed index without flattening it: the count must equal the bytes
-// SaveSnapshot writes for the packed form (which serializes the packed
-// node section directly), not the legacy flattened gob encoding.
+// TestSizeBytesPacked pins that SizeBytes reports the shipping snapshot
+// size of a delta-appended index without repacking it: the count equals
+// the bytes SaveSnapshot writes, no full pack runs, and the receiver keeps
+// its pack debt.
 func TestSizeBytesPacked(t *testing.T) {
-	packed := buildFig2a(t).Pack()
-	if !packed.IsPacked() {
-		t.Fatal("Pack() did not pack")
-	}
-	n, err := packed.SizeBytes()
+	ix, err := Append(buildFig2a(t), xmltree.BuildFigure1(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	debt := ix.PackDebt()
+	if debt == 0 {
+		t.Fatal("append did not take the delta path")
+	}
+	before := PackCount()
+	n, err := ix.SizeBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if PackCount() != before || ix.PackDebt() != debt {
+		t.Error("SizeBytes repacked the index")
+	}
 	var buf bytes.Buffer
-	if err := packed.SaveSnapshot(&buf); err != nil {
+	if err := ix.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(buf.Len()) {
-		t.Errorf("packed SizeBytes = %d, snapshot encoded = %d", n, buf.Len())
-	}
-	if !packed.IsPacked() {
-		t.Error("SizeBytes flattened the packed index")
+		t.Errorf("SizeBytes = %d, snapshot encoded = %d", n, buf.Len())
 	}
 }
 
@@ -423,7 +429,7 @@ func TestSizeBytesLazy(t *testing.T) {
 	}
 	meta := &Index{
 		Labels:   eager.Labels,
-		Nodes:    eager.Nodes,
+		packed:   eager.packed,
 		DocNames: eager.DocNames,
 		Stats:    eager.Stats,
 		labelIDs: eager.labelIDs,

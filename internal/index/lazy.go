@@ -8,8 +8,8 @@ import (
 // Lazily-backed indexes: an Index whose posting lists live behind a
 // PostingSource (a GKS4 segment reader, internal/segment) instead of the
 // in-memory Postings map. The node table, labels, document names and
-// statistics are always resident — the search engine walks Nodes directly
-// — but posting lists are fetched on demand, which is what bounds the
+// statistics are always resident — the search engine walks the node table
+// directly — but posting lists are fetched on demand, which is what bounds the
 // resident memory of a serving process to the block cache rather than the
 // corpus.
 //
@@ -18,9 +18,9 @@ import (
 // twin. Fetch failures cannot surface through PostingsFor's historical
 // []int32 signature, so they poison the index (LazyErr) and the query
 // engine checks the poison after gathering lists — queries fail loudly,
-// never silently with an empty list. Mutation and persistence paths
-// (DeleteDoc, Append, Save) materialize first: a lazy index is an
-// immutable serving view, and tombstones never coexist with laziness.
+// never silently with an empty list. Mutation paths (DeleteDoc, Append)
+// materialize first: a lazy index is an immutable serving view, and
+// tombstones never coexist with laziness.
 
 // PostingSource provides posting lists for a lazily-backed index.
 // Implementations must be safe for concurrent use.
@@ -87,8 +87,8 @@ func (ix *Index) LazyErr() error {
 // Materialized returns an eager equivalent of the index: for a lazy index
 // every posting list is fetched into a fresh Postings map (the node table
 // and label/doc tables are shared — they are immutable); an already-eager
-// index is returned as-is. Mutation and gob-persistence paths call this
-// because they operate on the Postings map directly.
+// index is returned as-is. Mutation paths call this because they operate
+// on the Postings map directly.
 func (ix *Index) Materialized() (*Index, error) {
 	if ix.lazy == nil {
 		return ix, nil
@@ -96,7 +96,6 @@ func (ix *Index) Materialized() (*Index, error) {
 	src := ix.lazy.src
 	cp := &Index{
 		Labels:   ix.Labels,
-		Nodes:    ix.Nodes,
 		DocNames: ix.DocNames,
 		Stats:    ix.Stats,
 		labelIDs: ix.labelIDs,
@@ -166,11 +165,11 @@ func (ix *Index) ForEachKeywordSorted(f func(keyword string, list []int32) error
 	return nil
 }
 
-// Fields returns the statistics in the serialization order of format v2 —
+// Fields returns the statistics in the serialization order of the GKSI image —
 // exported for sibling on-disk formats (the GKS4 segment footer).
 func (s *Stats) Fields() []int { return s.fields() }
 
-// SetFields assigns the statistics from the format-v2 serialization
+// SetFields assigns the statistics from the GKSI serialization
 // order; v must hold StatsFieldCount values.
 func (s *Stats) SetFields(v []int) { s.setFields(v) }
 

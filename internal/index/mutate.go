@@ -17,9 +17,9 @@ import (
 // ordinal range. Search-facing accessors (PostingsFor, Lookup, OrdinalOf,
 // LiveSpans) filter against the mask, so a tombstoned index answers
 // queries exactly as if the dead documents had never been indexed.
-// Tombstones are never persisted: Save/SaveBinary/SaveSnapshot compact
-// first, and Append merges onto a compacted base, so the mask lives only
-// between a delete and the next save or append.
+// Tombstones are never persisted: SaveSnapshot and the segment writer
+// compact first, so the mask lives only between a delete and the next
+// save or compaction.
 
 // ErrNotFound reports a mutation against a document name that is not live
 // in the index.
@@ -35,7 +35,7 @@ var ErrLastDocument = errors.New("index: cannot delete the last live document")
 type tombstones struct {
 	// dead holds the coalesced ordinal ranges of deleted documents.
 	dead [][2]int32
-	// live is the complement of dead within [0, len(Nodes)).
+	// live is the complement of dead within [0, NodeCount()).
 	live [][2]int32
 	// deadPosts counts dead entries per posting list; only keys with at
 	// least one dead entry are present, so the zero lookup keeps the
@@ -46,7 +46,7 @@ type tombstones struct {
 }
 
 // Tombstoned reports whether the index carries a tombstone mask (i.e. has
-// live deletes that a Save or Append would compact away).
+// live deletes that a save or compaction would drop).
 func (ix *Index) Tombstoned() bool { return ix.tomb != nil }
 
 // LiveSpans returns the sorted, disjoint, half-open ordinal ranges of the
@@ -302,7 +302,6 @@ func (ix *Index) DeleteDoc(name string) (*Index, error) {
 
 	out := &Index{
 		Labels:   ix.Labels,
-		Nodes:    ix.Nodes,
 		Postings: ix.Postings,
 		DocNames: ix.DocNames,
 		labelIDs: ix.labelIDs,
@@ -329,19 +328,7 @@ func (ix *Index) recomputeLiveStats() {
 			if d := int(ix.DepthOf(ord)); d > st.MaxDepth {
 				st.MaxDepth = d
 			}
-			c := ix.CatOf(ord)
-			if c&Attribute != 0 {
-				st.AttributeNodes++
-			}
-			if c&Repeating != 0 {
-				st.RepeatingNodes++
-			}
-			if c&Entity != 0 {
-				st.EntityNodes++
-			}
-			if c&Connecting != 0 {
-				st.ConnectingNodes++
-			}
+			st.addCategory(ix.CatOf(ord))
 		}
 		// ChildCount counts element and text children alike; every element
 		// in the span except its document roots is somebody's child, so the
@@ -361,88 +348,32 @@ func (ix *Index) recomputeLiveStats() {
 // removed: live nodes are re-packed contiguously (ordinals shift down,
 // Dewey IDs — including sparse document numbers — are preserved), posting
 // lists are filtered and re-based, and dead document names are dropped.
-// Without tombstones it returns ix itself. The result is a plain
-// immutable index, byte-identical in nodes and postings to a cold rebuild
-// from the surviving documents; only the label table may retain interned
-// labels that no surviving document uses. A packed index compacts by
-// materializing the surviving nodes and re-packing the result — packing
-// is deterministic, so the re-packed table equals a cold rebuild's pack.
+// Without tombstones it returns ix itself. Packing is deterministic, so
+// the result equals a cold rebuild from the surviving documents in nodes
+// and postings; only the label table may retain interned labels that no
+// surviving document uses.
 func (ix *Index) Compacted() *Index {
 	if ix.tomb == nil {
 		return ix
 	}
-	out := &Index{
-		Labels:   ix.Labels,
-		labelIDs: ix.labelIDs,
-		Postings: make(map[string][]int32, len(ix.Postings)),
-		Stats:    ix.Stats,
-	}
-	out.Nodes = make([]NodeInfo, 0, ix.Stats.ElementNodes)
-	for _, sp := range ix.tomb.live {
-		// Nodes before this span shifted down by the dead mass before it.
-		shift := sp[0] - int32(len(out.Nodes))
-		for ord := sp[0]; ord < sp[1]; ord++ {
-			var n NodeInfo
-			if ix.packed != nil {
-				n = ix.packed.nodeInfo(ord)
-			} else {
-				n = ix.Nodes[ord] // copy
-			}
-			if n.Parent >= 0 {
-				// A non-root's parent is in the same document, hence the
-				// same live span and the same shift.
-				n.Parent -= shift
-			}
-			out.Nodes = append(out.Nodes, n)
-		}
-	}
-
-	dead := ix.tomb.dead
-	for kw, list := range ix.Postings {
-		live := len(list) - int(ix.tomb.deadPosts[kw])
-		if live <= 0 {
-			continue
-		}
-		dst := make([]int32, 0, live)
-		ri := 0
-		shift := int32(0)
-		for _, ord := range list {
-			for ri < len(dead) && ord >= dead[ri][1] {
-				shift += dead[ri][1] - dead[ri][0]
-				ri++
-			}
-			if ri < len(dead) && ord >= dead[ri][0] {
-				continue
-			}
-			dst = append(dst, ord-shift)
-		}
-		out.Postings[kw] = dst
-	}
-
-	out.DocNames = make([]string, 0, ix.LiveDocCount())
-	k := 0
-	for ord, n := int32(0), int32(ix.NodeCount()); ord < n && k < len(ix.DocNames); k++ {
-		size := ix.SubtreeSizeOf(ord)
-		if size <= 0 {
-			break
-		}
-		if ix.LiveOrd(ord) {
-			out.DocNames = append(out.DocNames, ix.DocNames[k])
-		}
-		ord += size
-	}
-	if ix.packed != nil {
-		return out.Pack()
-	}
-	return out
+	return ix.flatten().pack()
 }
 
 // BuildDocumentAs indexes a single document under an explicit Dewey
-// document number. Unlike the old Append it validates everything that can
-// fail before touching the caller's tree, and restores the document's
-// prior numbering if the build fails anyway — a failed build must leave
-// the caller's document usable for a retry elsewhere.
+// document number. It validates everything that can fail before touching
+// the caller's tree, and restores the document's prior numbering if the
+// build fails anyway — a failed build must leave the caller's document
+// usable for a retry elsewhere.
 func BuildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, error) {
+	f, err := buildDocumentAs(doc, docID, opts)
+	if err != nil {
+		return nil, err
+	}
+	return f.pack(), nil
+}
+
+// buildDocumentAs is BuildDocumentAs up to (not including) packing.
+func buildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*flatIndex, error) {
 	if doc == nil || doc.Root == nil {
 		return nil, fmt.Errorf("index: build of empty document")
 	}
@@ -455,11 +386,11 @@ func BuildDocumentAs(doc *xmltree.Document, docID int32, opts Options) (*Index, 
 	oldID := doc.DocID
 	doc.DocID = docID
 	doc.AssignIDs()
-	ix, err := BuildDocument(doc, opts)
+	f, err := buildFlat(&xmltree.Repository{Docs: []*xmltree.Document{doc}}, opts)
 	if err != nil {
 		doc.DocID = oldID
 		doc.AssignIDs()
 		return nil, err
 	}
-	return ix, nil
+	return f, nil
 }

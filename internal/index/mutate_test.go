@@ -39,11 +39,12 @@ func rebuildFrom(t *testing.T, docs ...*xmltree.Document) *Index {
 // document names.
 func assertLiveEqual(t *testing.T, label string, want, got *Index) {
 	t.Helper()
-	if len(want.Nodes) != len(got.Nodes) {
-		t.Fatalf("%s: %d nodes, want %d", label, len(got.Nodes), len(want.Nodes))
+	if want.NodeCount() != got.NodeCount() {
+		t.Fatalf("%s: %d nodes, want %d", label, got.NodeCount(), want.NodeCount())
 	}
-	for i := range want.Nodes {
-		w, g := &want.Nodes[i], &got.Nodes[i]
+	wantRecs, gotRecs := records(want), records(got)
+	for i := range wantRecs {
+		w, g := &wantRecs[i], &gotRecs[i]
 		if !dewey.Equal(w.ID, g.ID) || want.Labels[w.Label] != got.Labels[g.Label] ||
 			w.Cat != g.Cat || w.ChildCount != g.ChildCount || w.Subtree != g.Subtree ||
 			w.Parent != g.Parent || w.HasValue != g.HasValue || w.Value != g.Value {
@@ -83,7 +84,7 @@ func TestDeleteDocTombstoneSemantics(t *testing.T) {
 	b := wordDoc("b.xml", 1, "banana", "shared")
 	c := wordDoc("c.xml", 2, "cherry", "shared")
 	ix := rebuildFrom(t, a, b, c)
-	nodesBefore := len(ix.Nodes)
+	nodesBefore := ix.NodeCount()
 	sharedBefore := len(ix.Lookup("shared"))
 
 	del, err := ix.DeleteDoc("b.xml")
@@ -92,7 +93,7 @@ func TestDeleteDocTombstoneSemantics(t *testing.T) {
 	}
 
 	// The receiver is untouched — old searchers keep a complete view.
-	if len(ix.Nodes) != nodesBefore || len(ix.Lookup("shared")) != sharedBefore ||
+	if ix.NodeCount() != nodesBefore || len(ix.Lookup("shared")) != sharedBefore ||
 		!ix.ContainsDoc("b.xml") || ix.Tombstoned() {
 		t.Fatal("DeleteDoc mutated the receiver")
 	}
@@ -180,18 +181,31 @@ func TestDeleteThenAppendEqualsRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newDoc := wordDoc("n.xml", 0, "nectarine", "shared")
-	next, err := Append(del, newDoc, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.Tombstoned() {
-		t.Fatal("append did not compact the tombstones away")
-	}
 	// The appended document takes id 3 (one past the max live id, keeping
 	// the node table in Dewey order despite the hole at id 0).
 	want := rebuildFrom(t, b, c, wordDoc("n.xml", 3, "nectarine", "shared"))
-	assertLiveEqual(t, "delete+append", want, next)
+
+	// The first append from del extends its packed table in place: the
+	// tombstones survive and compaction yields the rebuild.
+	next, err := Append(del, wordDoc("n.xml", 0, "nectarine", "shared"), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !next.Tombstoned() {
+		t.Fatal("delta append dropped the tombstone mask")
+	}
+	assertLiveEqual(t, "delete+append", want, next.Compacted())
+
+	// A second append from the same generation loses the delta claim and
+	// splices instead, which compacts the tombstones away.
+	spliced, err := Append(del, wordDoc("n.xml", 0, "nectarine", "shared"), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spliced.Tombstoned() {
+		t.Fatal("splice append did not compact the tombstones away")
+	}
+	assertLiveEqual(t, "delete+splice", want, spliced)
 }
 
 // TestAppendFailureLeavesDocumentUntouched is the regression test for the
@@ -226,19 +240,15 @@ func TestSaveCompactsTombstones(t *testing.T) {
 	}
 	want := del.Compacted()
 
-	var gob, bin, snap bytes.Buffer
-	if err := del.Save(&gob); err != nil {
-		t.Fatal(err)
-	}
-	if err := del.SaveBinary(&bin); err != nil {
+	var bin, snap bytes.Buffer
+	if err := del.writeBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
 	if err := del.SaveSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	for name, load := range map[string]func() (*Index, error){
-		"gob":      func() (*Index, error) { return Load(&gob) },
-		"binary":   func() (*Index, error) { return LoadBinary(&bin) },
+		"binary":   func() (*Index, error) { return decodeBinary(bin.Bytes()) },
 		"snapshot": func() (*Index, error) { return Load(&snap) },
 	} {
 		got, err := load()

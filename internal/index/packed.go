@@ -7,24 +7,24 @@ import (
 	"repro/internal/dewey"
 )
 
-// DAG-compressed node table (ROADMAP item 4, after "Efficient XML Keyword
-// Search based on DAG-Compression", Böttcher et al.): a structure-of-arrays
-// replacement for the []NodeInfo hot path that (1) stores only the trailing
-// Dewey component per node — full paths are rebuilt by the parent-chain
-// walk the engine already performs for LCA — and every Value string in one
-// shared interned arena, and (2) deduplicates identical element subtrees:
-// each repeated subtree's *shape* (labels, categories, child structure,
-// values and the sibling Dewey offsets of its element children) is stored
-// once in a shape table, and an instance table maps pre-order ordinal
-// ranges onto shapes. The window/LCP engine keeps running over plain
-// instance ordinals — resolution from ordinal to node fields is O(1) via a
-// 4-byte-per-node dispatch array — and expansion to a full NodeInfo (Dewey
-// path included) happens lazily at result-lift/snippet time.
+// DAG-compressed node table (after "Efficient XML Keyword Search based on
+// DAG-Compression", Böttcher et al.): the only node table a serving Index
+// holds. It (1) stores only the trailing Dewey component per node — full
+// paths are rebuilt by the parent-chain walk the engine already performs
+// for LCA — and every Value string in one shared interned arena, and (2)
+// deduplicates identical element subtrees: each repeated subtree's *shape*
+// (labels, categories, child structure, values and the sibling Dewey
+// offsets of its element children) is stored once in a shape table, and an
+// instance table maps pre-order ordinal ranges onto shapes. The
+// window/LCP engine keeps running over plain instance ordinals —
+// resolution from ordinal to node fields is O(1) via a 4-byte-per-node
+// dispatch array — and expansion to a full Dewey path happens lazily at
+// result-lift/snippet time.
 //
-// The packed table is a read-only serving form. Mutation entry points
-// materialize the flat table first (mirroring how lazy posting sources are
-// materialized before mutation) and Compacted() re-packs, so a packed
-// index survives delete/compact churn without losing its representation.
+// The table is immutable. Builders emit flat records (flatIndex) and pack
+// them once; appends extend the table incrementally (packed_append.go);
+// compaction, repacking and re-categorization rebuild it from flattened
+// records (flatten), so ordinals stay in Dewey order throughout.
 //
 // Layout. Every ordinal is either a *spine* node (stored individually) or
 // part of an *instance* (a subtree that shares a shape with at least one
@@ -91,18 +91,9 @@ type packedNodes struct {
 	app        *appendState
 }
 
-// IsPacked reports whether the node table is DAG-compressed.
-func (ix *Index) IsPacked() bool { return ix.packed != nil }
-
-// NodeCount returns the number of element nodes in the table, packed or
-// flat. It replaces len(ix.Nodes) everywhere a reader must work on both
-// representations.
-func (ix *Index) NodeCount() int {
-	if ix.packed != nil {
-		return len(ix.packed.ordInst)
-	}
-	return len(ix.Nodes)
-}
+// NodeCount returns the number of element nodes in the table, tombstoned
+// ones included.
+func (ix *Index) NodeCount() int { return len(ix.packed.ordInst) }
 
 // --- O(1) per-ordinal field resolution ---------------------------------
 
@@ -252,10 +243,9 @@ func (p *packedNodes) compareID(ord int32, id dewey.ID) int {
 	return 0
 }
 
-// nodeInfo materializes the full NodeInfo of ord — the lazy expansion used
-// at result-lift/snippet time and by flat materialization.
-func (p *packedNodes) nodeInfo(ord int32) NodeInfo {
-	n := NodeInfo{
+// nodeInfo materializes the flat record of ord — the input of a repack.
+func (p *packedNodes) nodeInfo(ord int32) nodeInfo {
+	n := nodeInfo{
 		ID:         p.idOf(ord),
 		Label:      p.labelOf(ord),
 		Cat:        p.catOf(ord),
@@ -272,81 +262,87 @@ func (p *packedNodes) nodeInfo(ord int32) NodeInfo {
 
 // --- packing ------------------------------------------------------------
 
-// Pack returns an index serving from the DAG-compressed node table. The
-// posting lists, label table, document names and statistics are shared
-// with ix (they are immutable); only the node storage changes shape. A
-// tombstoned index is compacted first — the packed form has no delete
-// mask — and packing an already-packed index returns it unchanged.
-// Packing is deterministic: equal flat tables pack to equal packed tables.
-func (ix *Index) Pack() *Index {
-	if ix.packed != nil {
-		return ix
-	}
-	ix = ix.Compacted()
+// flatten materializes the live node table as flat records: tombstoned
+// documents are dropped and later ordinals shift down (Dewey IDs,
+// including sparse document numbers, are preserved), posting lists are
+// filtered and re-based, and dead document names go. The statistics are
+// carried over — they already describe the live documents. Packing the
+// result is deterministic, so it equals a cold rebuild's table; the
+// append splice and the full repack both start here. A lazily-backed
+// index must be materialized first.
+func (ix *Index) flatten() *flatIndex {
 	out := &Index{
 		Labels:   ix.Labels,
+		labelIDs: ix.labelIDs,
 		Postings: ix.Postings,
 		DocNames: ix.DocNames,
 		Stats:    ix.Stats,
-		labelIDs: ix.labelIDs,
-		lazy:     ix.lazy,
-		packed:   packNodes(ix.Nodes),
 	}
-	return out
+	nodes := make([]nodeInfo, 0, ix.Stats.ElementNodes)
+	for _, sp := range ix.LiveSpans() {
+		// Nodes of this span shifted down by the dead mass before it; a
+		// non-root's parent is in the same document, hence the same span.
+		shift := sp[0] - int32(len(nodes))
+		for ord := sp[0]; ord < sp[1]; ord++ {
+			n := ix.packed.nodeInfo(ord)
+			if n.Parent >= 0 {
+				n.Parent -= shift
+			}
+			nodes = append(nodes, n)
+		}
+	}
+	if t := ix.tomb; t != nil {
+		out.Postings = make(map[string][]int32, len(ix.Postings))
+		for kw, list := range ix.Postings {
+			live := len(list) - int(t.deadPosts[kw])
+			if live <= 0 {
+				continue
+			}
+			dst := make([]int32, 0, live)
+			ri, shift := 0, int32(0)
+			for _, ord := range list {
+				for ri < len(t.dead) && ord >= t.dead[ri][1] {
+					shift += t.dead[ri][1] - t.dead[ri][0]
+					ri++
+				}
+				if ri < len(t.dead) && ord >= t.dead[ri][0] {
+					continue
+				}
+				dst = append(dst, ord-shift)
+			}
+			out.Postings[kw] = dst
+		}
+		out.DocNames = ix.LiveDocs()
+	}
+	return &flatIndex{ix: out, nodes: nodes}
 }
 
-// Unpacked returns a flat-table equivalent of the index: every node is
-// materialized into a fresh []NodeInfo. An already-flat index is returned
-// as-is. Mutation paths that must edit node records in place (appends,
-// schema re-categorization) call this before operating and may re-Pack
-// afterwards.
-func (ix *Index) Unpacked() *Index {
-	if ix.packed == nil {
-		return ix
-	}
+// Recategorize installs cats (one category per ordinal) on the live nodes
+// and rebuilds the packed table from the edited records. Ordinals, the
+// tombstone mask and the postings are unchanged, so ordinal-indexed data
+// the caller holds stays aligned; tombstoned nodes keep their categories.
+// It refreshes the category statistics and returns the number of live
+// nodes whose category changed. The receiver is modified in place.
+func (ix *Index) Recategorize(cats []Category) int {
 	p := ix.packed
-	nodes := make([]NodeInfo, len(p.ordInst))
+	nodes := make([]nodeInfo, len(p.ordInst))
 	for ord := range nodes {
 		nodes[ord] = p.nodeInfo(int32(ord))
 	}
-	return &Index{
-		Labels:   ix.Labels,
-		Nodes:    nodes,
-		Postings: ix.Postings,
-		DocNames: ix.DocNames,
-		Stats:    ix.Stats,
-		labelIDs: ix.labelIDs,
-		lazy:     ix.lazy,
-		tomb:     ix.tomb,
+	changed := 0
+	for _, sp := range ix.LiveSpans() {
+		for ord := sp[0]; ord < sp[1]; ord++ {
+			if nodes[ord].Cat != cats[ord] {
+				nodes[ord].Cat = cats[ord]
+				changed++
+			}
+		}
 	}
-}
-
-// UnpackInPlace materializes the flat node table into ix itself and drops
-// the packed form. Unlike Unpacked it mutates the receiver, keeping
-// ordinals, the tombstone mask and the shared postings untouched — the
-// entry half of the unpack→edit→RepackInPlace dance used by in-place
-// mutators such as schema re-categorization.
-func (ix *Index) UnpackInPlace() {
-	if ix.packed == nil {
-		return
+	if changed > 0 {
+		ix.packed = packNodes(nodes)
+		ix.RefreshCategoryStats()
 	}
-	p := ix.packed
-	nodes := make([]NodeInfo, len(p.ordInst))
-	for ord := range nodes {
-		nodes[ord] = p.nodeInfo(int32(ord))
-	}
-	ix.Nodes, ix.packed = nodes, nil
-}
-
-// RepackInPlace re-derives the packed node table from ix.Nodes without
-// compacting, so ordinals (and any tombstone mask over them) are
-// preserved. No-op on an already-packed index.
-func (ix *Index) RepackInPlace() {
-	if ix.packed != nil || ix.Nodes == nil {
-		return
-	}
-	ix.packed = packNodes(ix.Nodes)
-	ix.Nodes = nil
+	return changed
 }
 
 // packNodes builds the packed representation from a flat pre-order table.
@@ -363,7 +359,7 @@ func (ix *Index) RepackInPlace() {
 // Pass 2 scans top-down: a node whose shape occurs at least twice becomes
 // an instance and its whole subtree is skipped (so nested repeats dedup at
 // the outermost level); everything else is spine and the scan descends.
-func packNodes(nodes []NodeInfo) *packedNodes {
+func packNodes(nodes []nodeInfo) *packedNodes {
 	packCount.Add(1)
 	n := int32(len(nodes))
 	p := &packedNodes{ordInst: make([]int32, n)}
@@ -482,7 +478,7 @@ func packNodes(nodes []NodeInfo) *packedNodes {
 	return p
 }
 
-func lastComp(n *NodeInfo) int32 { return n.ID.Path[len(n.ID.Path)-1] }
+func lastComp(n *nodeInfo) int32 { return n.ID.Path[len(n.ID.Path)-1] }
 
 // --- accounting ---------------------------------------------------------
 
@@ -502,13 +498,9 @@ type PackInfo struct {
 	DeltaNodes, DeltaDocs, DeadNodes int
 }
 
-// PackedInfo returns the dedup summary of a packed index, or a zero value
-// and false on a flat one.
-func (ix *Index) PackedInfo() (PackInfo, bool) {
+// PackedInfo returns the dedup summary of the node table.
+func (ix *Index) PackedInfo() PackInfo {
 	p := ix.packed
-	if p == nil {
-		return PackInfo{}, false
-	}
 	dead := 0
 	if ix.tomb != nil {
 		for _, r := range ix.tomb.dead {
@@ -526,42 +518,30 @@ func (ix *Index) PackedInfo() (PackInfo, bool) {
 		DeltaNodes: p.deltaNodes,
 		DeltaDocs:  p.deltaDocs,
 		DeadNodes:  dead,
-	}, true
+	}
 }
 
 // NodeTableBytes returns the exact heap footprint of the node table's
-// backing storage: for a packed index the sum of its arrays, for a flat
-// one the NodeInfo structs plus every per-node Dewey path backing array
-// and value string. This is the "node table" column of the segment and
-// DAG benchmarks — computed, not sampled, so it is stable across GC
-// timing.
+// backing arrays. This is the "node table" column of the segment and DAG
+// benchmarks — computed, not sampled, so it is stable across GC timing.
 func (ix *Index) NodeTableBytes() int64 {
-	if p := ix.packed; p != nil {
-		b := int64(len(p.ordInst)) * 4
-		b += int64(len(p.spLabel))*4 + int64(len(p.spCat)) + int64(len(p.spChild))*4 +
-			int64(len(p.spSubtree))*4 + int64(len(p.spParent))*4 + int64(len(p.spLast))*4 +
-			int64(len(p.spDepth))*4 + int64(len(p.spVal))*4
-		b += int64(len(p.inStart))*4 + int64(len(p.inShape))*4 + int64(len(p.inParent))*4 +
-			int64(len(p.inLast))*4 + int64(len(p.inDepth))*4
-		b += int64(len(p.shOff))*4 + int64(len(p.shLabel))*4 + int64(len(p.shCat)) +
-			int64(len(p.shChild))*4 + int64(len(p.shSubtree))*4 + int64(len(p.shParent))*4 +
-			int64(len(p.shLast))*4 + int64(len(p.shDepth))*4 + int64(len(p.shVal))*4
-		b += int64(len(p.valOff))*4 + int64(len(p.valArena))
-		b += int64(len(p.docStart))*4 + int64(len(p.docNum))*4
-		return b
-	}
-	const nodeInfoSize = 72 // unsafe.Sizeof(NodeInfo{}) on 64-bit
-	b := int64(len(ix.Nodes)) * nodeInfoSize
-	for i := range ix.Nodes {
-		n := &ix.Nodes[i]
-		b += int64(len(n.ID.Path)) * 4
-		b += int64(len(n.Value))
-	}
+	p := ix.packed
+	b := int64(len(p.ordInst)) * 4
+	b += int64(len(p.spLabel))*4 + int64(len(p.spCat)) + int64(len(p.spChild))*4 +
+		int64(len(p.spSubtree))*4 + int64(len(p.spParent))*4 + int64(len(p.spLast))*4 +
+		int64(len(p.spDepth))*4 + int64(len(p.spVal))*4
+	b += int64(len(p.inStart))*4 + int64(len(p.inShape))*4 + int64(len(p.inParent))*4 +
+		int64(len(p.inLast))*4 + int64(len(p.inDepth))*4
+	b += int64(len(p.shOff))*4 + int64(len(p.shLabel))*4 + int64(len(p.shCat)) +
+		int64(len(p.shChild))*4 + int64(len(p.shSubtree))*4 + int64(len(p.shParent))*4 +
+		int64(len(p.shLast))*4 + int64(len(p.shDepth))*4 + int64(len(p.shVal))*4
+	b += int64(len(p.valOff))*4 + int64(len(p.valArena))
+	b += int64(len(p.docStart))*4 + int64(len(p.docNum))*4
 	return b
 }
 
-// validatePacked checks the structural invariants of the packed arrays,
-// mirroring what Validate checks on the flat table. Every derived lookup
+// validatePacked checks the structural invariants of the packed arrays.
+// Every derived lookup
 // (shapeSlot, parentOf, docOf) indexes blindly for speed, so a decoded
 // packed image must pass here before it serves.
 func (p *packedNodes) validatePacked() error {

@@ -6,16 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// Delta-maintaining pack (ROADMAP item 4 follow-on): appending a document
-// to a packed index without flattening it. The legacy append path ran
-// Compacted().Unpacked() — materializing the whole node table as flat
-// NodeInfo records — and then re-packed the merged result from scratch,
-// making every live mutation O(index). The delta path instead packs only
-// the new document's subtree against the *existing* shape table: shape
-// interning stays exact (keyed on the same canonical byte encoding
-// packNodes uses), the table is append-only between full repacks, and new
-// spine rows, instances, ordInst entries and arena values are appended in
-// place. Cost is O(document + touched posting lists), not O(index).
+// Delta-maintaining pack: appending a document to a packed index without
+// flattening it. A full repack of the merged table would make every live
+// mutation O(index); the delta path instead packs only the new document's
+// subtree against the *existing* shape table: shape interning stays exact
+// (keyed on the same canonical byte encoding packNodes uses), the table is
+// append-only between full repacks, and new spine rows, instances,
+// ordInst entries and arena values are appended in place. Cost is
+// O(document + touched posting lists), not O(index).
 //
 // Concurrency. Packed indexes are immutable serving state, but the delta
 // path extends the predecessor's backing arrays in place (beyond their
@@ -24,8 +22,8 @@ import (
 // lineage carries an appendState whose mutex-guarded owner pointer names
 // the one generation whose tails may still grow. The first append wins
 // ownership and moves it to the successor; a second append branching from
-// the same generation loses the claim and falls back to the legacy
-// flatten-splice-repack path, which is always correct.
+// the same generation loses the claim and falls back to the
+// flatten-splice-repack path (appendMerged), which is always correct.
 //
 // Amortization. Delta appends leave debt behind: shapes that would have
 // deduplicated against the new subtrees stay spine, and tombstoned
@@ -60,8 +58,8 @@ type packLookups struct {
 var packCount atomic.Uint64
 
 // PackCount returns the number of full node-table packs performed by this
-// process since start. Delta appends do not increment it; every call to
-// Pack/RepackInPlace/Compacted-on-packed does.
+// process since start. Delta appends do not increment it; every build,
+// compaction, repack and re-categorization does.
 func PackCount() uint64 { return packCount.Load() }
 
 // appendShapeKey appends ord's canonical shape key — the exact encoding
@@ -120,7 +118,7 @@ func (p *packedNodes) buildLookups() *packLookups {
 // table and returns the extended generation. remap translates the
 // partial's label ids to the base's; lk must be current for p. The caller
 // holds the appendState mutex and owns p's array tails.
-func (p *packedNodes) deltaAppend(nodes []NodeInfo, remap []int32, lk *packLookups) *packedNodes {
+func (p *packedNodes) deltaAppend(nodes []nodeInfo, remap []int32, lk *packLookups) *packedNodes {
 	baseN := int32(len(p.ordInst))
 	m := int32(len(nodes))
 	q := *p // shallow copy; every extended array is reassigned below
@@ -245,18 +243,16 @@ func (p *packedNodes) deltaAppend(nodes []NodeInfo, remap []int32, lk *packLooku
 }
 
 // appendPacked attempts the delta append of a one-or-more-document flat
-// partial index onto the packed base and reports whether it applied. It
-// declines — and the caller falls back to the legacy flatten-splice-
-// repack — when the base is not the extendable tip of its lineage, or
-// when the partial's document numbers do not sort strictly after every
-// physical (live or tombstoned) document of the base, which would break
-// the Dewey order the packed root table and OrdinalOf rely on.
-func (ix *Index) appendPacked(partial *Index) (*Index, bool) {
-	p := ix.packed
-	if p == nil || p.app == nil || ix.lazy != nil || len(partial.Nodes) == 0 {
-		return nil, false
-	}
-	if n := len(p.docNum); n > 0 && partial.Nodes[0].ID.Doc <= p.docNum[n-1] {
+// partial index onto the base and reports whether it applied. It declines
+// — and the caller falls back to the flatten-splice-repack — when the base
+// is not the extendable tip of its lineage, or when the partial's document
+// numbers do not sort strictly after every physical (live or tombstoned)
+// document of the base, which would break the Dewey order the packed root
+// table and OrdinalOf rely on. The base must be eager (not lazily
+// backed).
+func (ix *Index) appendPacked(flat *flatIndex) (*Index, bool) {
+	p, partial := ix.packed, flat.ix
+	if n := len(p.docNum); n > 0 && flat.nodes[0].ID.Doc <= p.docNum[n-1] {
 		return nil, false
 	}
 
@@ -295,7 +291,7 @@ func (ix *Index) appendPacked(partial *Index) (*Index, bool) {
 	}
 
 	baseN := int32(len(p.ordInst))
-	q := p.deltaAppend(partial.Nodes, remap, a.look)
+	q := p.deltaAppend(flat.nodes, remap, a.look)
 	q.app = a
 	a.owner = q
 
@@ -318,15 +314,15 @@ func (ix *Index) appendPacked(partial *Index) (*Index, bool) {
 	names := make([]string, 0, len(ix.DocNames)+len(partial.DocNames))
 	names = append(append(names, ix.DocNames...), partial.DocNames...)
 
-	// Tombstones survive the append (unlike the legacy path, which
-	// compacts): the new ordinals extend the final live span. The dead
+	// Tombstones survive the append (unlike the splice, which compacts):
+	// the new ordinals extend the final live span. The dead
 	// ranges and per-keyword dead counts are immutable after DeleteDoc,
 	// so they are shared.
 	var tomb *tombstones
 	if t := ix.tomb; t != nil {
 		live := make([][2]int32, len(t.live), len(t.live)+1)
 		copy(live, t.live)
-		m := int32(len(partial.Nodes))
+		m := int32(len(flat.nodes))
 		if n := len(live); n > 0 && live[n-1][1] == baseN {
 			live[n-1][1] = baseN + m
 		} else {
@@ -373,16 +369,10 @@ func (ix *Index) appendPacked(partial *Index) (*Index, bool) {
 // would reclaim or re-deduplicate: ordinals appended by delta packs since
 // the last full pack plus tombstoned ordinals, over the total. It is the
 // signal the checkpointer's amortization policy thresholds on; a freshly
-// packed (or flat, untombstoned) index reports 0.
+// packed, untombstoned index reports 0.
 func (ix *Index) PackDebt() float64 {
 	n := ix.NodeCount()
-	if n == 0 {
-		return 0
-	}
-	debt := 0
-	if p := ix.packed; p != nil {
-		debt += p.deltaNodes
-	}
+	debt := ix.packed.deltaNodes
 	if ix.tomb != nil {
 		for _, r := range ix.tomb.dead {
 			debt += int(r[1] - r[0])
@@ -395,16 +385,12 @@ func (ix *Index) PackDebt() float64 {
 }
 
 // Repacked pays the index's pack debt: tombstones are compacted away and
-// a packed node table is rebuilt from scratch by the deterministic full
-// pack, so the result is exactly what a cold rebuild's Pack() of the
-// surviving documents produces. An index with no debt is returned as-is;
-// a flat index compacts without gaining a packed table.
+// the node table is rebuilt from scratch by the deterministic full pack,
+// so the result is exactly what a cold rebuild of the surviving documents
+// produces. An index with no debt is returned as-is.
 func (ix *Index) Repacked() *Index {
-	if ix.tomb != nil {
-		return ix.Compacted()
+	if ix.tomb == nil && ix.packed.deltaNodes == 0 {
+		return ix
 	}
-	if p := ix.packed; p != nil && p.deltaNodes > 0 {
-		return ix.Unpacked().Pack()
-	}
-	return ix
+	return ix.flatten().pack()
 }

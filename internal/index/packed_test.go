@@ -5,33 +5,34 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/datagen"
 	"repro/internal/dewey"
 	"repro/internal/xmltree"
 )
 
-// packedCorpora builds the corpora the packed-table tests sweep: the
-// paper's running examples, a repetitive replicated repository (whole
-// documents dedup into instances) and low-repetition generator shapes.
-func packedCorpora(t *testing.T) map[string]*Index {
+// packedCorpora builds the corpora the packed-table tests sweep, in the
+// builder's flat form: the paper's running examples, a repetitive
+// replicated repository (whole documents dedup into instances) and
+// low-repetition generator shapes. Each call builds fresh values, so
+// callers may pack them.
+func packedCorpora(t *testing.T) map[string]*flatIndex {
 	t.Helper()
-	build := func(repo *xmltree.Repository) *Index {
-		ix, err := Build(repo, DefaultOptions())
+	build := func(repo *xmltree.Repository) *flatIndex {
+		f, err := buildFlat(repo, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ix
+		return f
 	}
 	multi := &xmltree.Repository{}
 	multi.Add(xmltree.BuildFigure2a())
 	multi.Add(xmltree.BuildFigure1())
-	return map[string]*Index{
-		"fig2a": buildFig2a(t),
-		"multi": build(multi),
-		"replicated": build(datagen.Replicate(func() *xmltree.Document {
-			return datagen.SigmodRecord(datagen.BibConfig{Config: datagen.Config{Seed: 7}, Entries: 40})
-		}, 4)),
+	return map[string]*flatIndex{
+		"fig2a":      build(datagen.Repo(xmltree.BuildFigure2a())),
+		"multi":      build(multi),
+		"replicated": build(replicatedRepo()),
 		"dblp": build(datagen.Repo(datagen.DBLP(datagen.BibConfig{
 			Config: datagen.Config{Seed: 11}, Entries: 150,
 		}))),
@@ -42,89 +43,103 @@ func packedCorpora(t *testing.T) map[string]*Index {
 	}
 }
 
-// assertAccessorsEqual compares every per-ordinal accessor of two indexes
-// that must describe identical logical tables (one may be packed).
-func assertAccessorsEqual(t *testing.T, flat, packed *Index) {
+// replicatedRepo is four identical SigmodRecord replicas.
+func replicatedRepo() *xmltree.Repository {
+	return datagen.Replicate(func() *xmltree.Document {
+		return datagen.SigmodRecord(datagen.BibConfig{Config: datagen.Config{Seed: 7}, Entries: 40})
+	}, 4)
+}
+
+// assertAccessorsEqual compares every per-ordinal accessor of a packed
+// index against the flat records the builder emitted for the same table.
+func assertAccessorsEqual(t *testing.T, want []nodeInfo, packed *Index) {
 	t.Helper()
-	if flat.NodeCount() != packed.NodeCount() {
-		t.Fatalf("node counts differ: %d vs %d", flat.NodeCount(), packed.NodeCount())
+	if len(want) != packed.NodeCount() {
+		t.Fatalf("node counts differ: %d vs %d", len(want), packed.NodeCount())
 	}
-	for ord := int32(0); ord < int32(flat.NodeCount()); ord++ {
-		if a, b := flat.LabelIDOf(ord), packed.LabelIDOf(ord); a != b {
+	for i := range want {
+		n, ord := &want[i], int32(i)
+		if a, b := n.Label, packed.LabelIDOf(ord); a != b {
 			t.Fatalf("ord %d: label %d vs %d", ord, a, b)
 		}
-		if a, b := flat.CatOf(ord), packed.CatOf(ord); a != b {
+		if a, b := n.Cat, packed.CatOf(ord); a != b {
 			t.Fatalf("ord %d: cat %v vs %v", ord, a, b)
 		}
-		if a, b := flat.ChildCountOf(ord), packed.ChildCountOf(ord); a != b {
+		if a, b := n.ChildCount, packed.ChildCountOf(ord); a != b {
 			t.Fatalf("ord %d: child count %d vs %d", ord, a, b)
 		}
-		if a, b := flat.SubtreeSizeOf(ord), packed.SubtreeSizeOf(ord); a != b {
+		if a, b := n.Subtree, packed.SubtreeSizeOf(ord); a != b {
 			t.Fatalf("ord %d: subtree %d vs %d", ord, a, b)
 		}
-		if a, b := flat.ParentOf(ord), packed.ParentOf(ord); a != b {
+		if a, b := n.Parent, packed.ParentOf(ord); a != b {
 			t.Fatalf("ord %d: parent %d vs %d", ord, a, b)
 		}
-		if a, b := flat.DepthOf(ord), packed.DepthOf(ord); a != b {
+		if a, b := int32(n.ID.Depth()), packed.DepthOf(ord); a != b {
 			t.Fatalf("ord %d: depth %d vs %d", ord, a, b)
 		}
-		if a, b := flat.HasValueAt(ord), packed.HasValueAt(ord); a != b {
+		if a, b := n.HasValue, packed.HasValueAt(ord); a != b {
 			t.Fatalf("ord %d: has-value %v vs %v", ord, a, b)
 		}
-		if a, b := flat.ValueAt(ord), packed.ValueAt(ord); a != b {
+		if a, b := n.Value, packed.ValueAt(ord); a != b {
 			t.Fatalf("ord %d: value %q vs %q", ord, a, b)
 		}
-		if a, b := flat.IDOf(ord), packed.IDOf(ord); !dewey.Equal(a, b) {
+		if a, b := n.ID, packed.IDOf(ord); !dewey.Equal(a, b) {
 			t.Fatalf("ord %d: id %v vs %v", ord, a, b)
 		}
-		if a, b := flat.DocOf(ord), packed.DocOf(ord); a != b {
+		if a, b := n.ID.Doc, packed.DocOf(ord); a != b {
 			t.Fatalf("ord %d: doc %d vs %d", ord, a, b)
 		}
 	}
 }
 
+// flatBytes is the heap footprint the flat records would take as a node
+// table: the structs plus every Dewey path backing array and value string.
+func flatBytes(nodes []nodeInfo) int64 {
+	b := int64(len(nodes)) * int64(unsafe.Sizeof(nodeInfo{}))
+	for i := range nodes {
+		b += int64(len(nodes[i].ID.Path))*4 + int64(len(nodes[i].Value))
+	}
+	return b
+}
+
 func TestPackAccessorsMatchFlat(t *testing.T) {
-	for name, flat := range packedCorpora(t) {
+	for name, f := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
-			packed := flat.Pack()
-			if !packed.IsPacked() || flat.IsPacked() {
-				t.Fatal("Pack must produce a packed copy and leave the flat source flat")
-			}
+			packed := f.pack()
 			if err := packed.Validate(); err != nil {
 				t.Fatalf("packed index fails validation: %v", err)
 			}
-			assertAccessorsEqual(t, flat, packed)
+			assertAccessorsEqual(t, f.nodes, packed)
 
-			info, ok := packed.PackedInfo()
-			if !ok {
-				t.Fatal("PackedInfo must report on a packed index")
-			}
+			info := packed.PackedInfo()
 			t.Logf("%s: %d nodes → %d spine + %d instances of %d shapes (%d shape nodes), %d values (%d B); %d B vs flat %d B",
 				name, info.Nodes, info.SpineNodes, info.Instances, info.Shapes, info.ShapeNodes,
-				info.Values, info.ValueBytes, packed.NodeTableBytes(), flat.NodeTableBytes())
+				info.Values, info.ValueBytes, packed.NodeTableBytes(), flatBytes(f.nodes))
 		})
 	}
 }
 
+// TestPackUnpackedRoundTrip pins that the packed table loses nothing:
+// materializing every record (the input of a repack) and flattening the
+// whole index both give back exactly the builder's records.
 func TestPackUnpackedRoundTrip(t *testing.T) {
-	for name, flat := range packedCorpora(t) {
+	for name, f := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
-			back := flat.Pack().Unpacked()
-			if back.IsPacked() {
-				t.Fatal("Unpacked must return a flat index")
-			}
-			assertIndexesEqual(t, flat, back)
+			packed := f.pack()
+			assertRecordsEqual(t, f.nodes, records(packed))
+			back := packed.flatten()
+			assertRecordsEqual(t, f.nodes, back.nodes)
+			assertIndexesEqual(t, packed, back.pack())
 		})
 	}
 }
 
 func TestPackIsDeterministic(t *testing.T) {
-	flat := packedCorpora(t)["replicated"]
 	var a, b bytes.Buffer
-	if err := flat.Pack().SaveBinary(&a); err != nil {
+	if err := packedCorpora(t)["replicated"].pack().writeBinary(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := flat.Pack().SaveBinary(&b); err != nil {
+	if err := packedCorpora(t)["replicated"].pack().writeBinary(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -133,12 +148,12 @@ func TestPackIsDeterministic(t *testing.T) {
 }
 
 func TestPackedOrdinalOf(t *testing.T) {
-	flat := packedCorpora(t)["replicated"]
-	packed := flat.Pack()
-	for ord := int32(0); ord < int32(flat.NodeCount()); ord++ {
-		got, ok := packed.OrdinalOf(flat.IDOf(ord))
+	f := packedCorpora(t)["replicated"]
+	packed := f.pack()
+	for ord := range int32(len(f.nodes)) {
+		got, ok := packed.OrdinalOf(f.nodes[ord].ID)
 		if !ok || got != ord {
-			t.Fatalf("ord %d: OrdinalOf(%v) = %d, %v", ord, flat.IDOf(ord), got, ok)
+			t.Fatalf("ord %d: OrdinalOf(%v) = %d, %v", ord, f.nodes[ord].ID, got, ok)
 		}
 	}
 	// A Dewey ID that is not in the table must not be found.
@@ -150,89 +165,80 @@ func TestPackedOrdinalOf(t *testing.T) {
 func TestPackedDedupsReplicatedDocs(t *testing.T) {
 	// Four identical replicas: at least three document roots must collapse
 	// into instances of the first replica's shape.
-	flat := packedCorpora(t)["replicated"]
-	packed := flat.Pack()
-	info, _ := packed.PackedInfo()
+	f := packedCorpora(t)["replicated"]
+	packed := f.pack()
+	info := packed.PackedInfo()
 	if info.Instances < 3 {
 		t.Fatalf("expected ≥3 instances from 4 identical replicas, got %d", info.Instances)
 	}
-	if fb, pb := flat.NodeTableBytes(), packed.NodeTableBytes(); pb*2 > fb {
+	if fb, pb := flatBytes(f.nodes), packed.NodeTableBytes(); pb*2 > fb {
 		t.Errorf("replicated corpus should pack to <1/2 of flat: packed %d B vs flat %d B", pb, fb)
 	}
 }
 
 func TestPackedBinaryRoundTrip(t *testing.T) {
-	for name, flat := range packedCorpora(t) {
+	for name, f := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
-			packed := flat.Pack()
+			packed := f.pack()
 			var buf bytes.Buffer
-			if err := packed.SaveBinary(&buf); err != nil {
+			if err := packed.writeBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
-			back, err := Load(bytes.NewReader(buf.Bytes()))
+			back, err := decodeBinary(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !back.IsPacked() {
-				t.Fatal("v3 image must load packed")
 			}
 			if err := back.Validate(); err != nil {
 				t.Fatalf("loaded packed index fails validation: %v", err)
 			}
-			assertAccessorsEqual(t, flat, back)
-			assertIndexesEqual(t, flat, back.Unpacked())
+			assertAccessorsEqual(t, f.nodes, back)
+			assertIndexesEqual(t, packed, back)
 		})
 	}
 }
 
 func TestPackedSnapshotRoundTrip(t *testing.T) {
-	flat := packedCorpora(t)["dblp-dup"]
-	packed := flat.Pack()
+	f := packedCorpora(t)["dblp-dup"]
 	var buf bytes.Buffer
-	if err := packed.SaveSnapshot(&buf); err != nil {
+	if err := f.pack().SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.IsPacked() {
-		t.Fatal("snapshot of a packed index must load packed")
-	}
-	assertAccessorsEqual(t, flat, back)
+	assertAccessorsEqual(t, f.nodes, back)
 }
 
 func TestPackedMetaRoundTrip(t *testing.T) {
-	for name, flat := range packedCorpora(t) {
+	for name, f := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
-			packed := flat.Pack()
 			var buf bytes.Buffer
-			if err := EncodeMeta(&buf, packed); err != nil {
+			if err := EncodeMeta(&buf, f.pack()); err != nil {
 				t.Fatal(err)
 			}
-			back, err := DecodeMeta(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+			back, err := DecodeMeta(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !back.IsPacked() {
-				t.Fatal("packed meta must decode packed")
-			}
-			assertAccessorsEqual(t, flat, back)
+			assertAccessorsEqual(t, f.nodes, back)
 		})
 	}
 }
 
+// TestPackedCodecRejectsDamage feeds damaged GKSI images straight to the
+// decoder — past the snapshot checksum that would otherwise catch them
+// first — so the decoder's own checks are what is under test.
 func TestPackedCodecRejectsDamage(t *testing.T) {
-	flat := packedCorpora(t)["replicated"]
 	var buf bytes.Buffer
-	if err := flat.Pack().SaveBinary(&buf); err != nil {
+	if err := packedCorpora(t)["replicated"].pack().writeBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
 
 	// Every truncation must fail typed as ErrCorrupt, never panic.
 	for cut := 0; cut < len(full); cut += 1 + len(full)/257 {
-		_, err := Load(bytes.NewReader(full[:cut]))
+		_, err := decodeBinary(full[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d bytes must fail", cut)
 		}
@@ -240,7 +246,7 @@ func TestPackedCodecRejectsDamage(t *testing.T) {
 			t.Fatalf("truncation at %d bytes: error not typed ErrCorrupt: %v", cut, err)
 		}
 	}
-	// Bit flips must be caught by the loader (typed ErrCorrupt) or by the
+	// Bit flips must be caught by the decoder (typed ErrCorrupt) or by the
 	// Validate pass every reload path runs before swapping an index in; a
 	// flip inside a value string is legal data and passes both. No outcome
 	// may panic.
@@ -248,7 +254,7 @@ func TestPackedCodecRejectsDamage(t *testing.T) {
 		for _, bit := range []byte{0x01, 0x80} {
 			dam := append([]byte(nil), full...)
 			dam[pos] ^= bit
-			ix, err := Load(bytes.NewReader(dam))
+			ix, err := decodeBinary(dam)
 			if err != nil {
 				if !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("bit flip at %d: error not typed ErrCorrupt: %v", pos, err)
@@ -260,42 +266,44 @@ func TestPackedCodecRejectsDamage(t *testing.T) {
 	}
 }
 
+// TestPackedDeleteAndCompact checks a delete against the cold rebuild of
+// the surviving documents: the tombstoned statistics match it, and the
+// compacted table matches its records and byte-matches its pack.
 func TestPackedDeleteAndCompact(t *testing.T) {
-	flat := packedCorpora(t)["replicated"]
-	packed := flat.Pack()
-
-	delP, err := packed.DeleteDoc(packed.DocNames[1])
+	repo := replicatedRepo()
+	packed, err := Build(repo, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !delP.IsPacked() {
-		t.Fatal("deleting from a packed index must keep it packed")
-	}
-	delF, err := flat.DeleteDoc(flat.DocNames[1])
+	survivors := append([]*xmltree.Document{repo.Docs[0]}, repo.Docs[2:]...)
+	cold, err := buildFlat(&xmltree.Repository{Docs: survivors}, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if delP.Stats != delF.Stats {
-		t.Fatalf("tombstoned stats differ: %+v vs %+v", delP.Stats, delF.Stats)
+
+	del, err := packed.DeleteDoc(repo.Docs[1].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if del.Stats != cold.ix.Stats {
+		t.Fatalf("tombstoned stats differ from the cold rebuild: %+v vs %+v", del.Stats, cold.ix.Stats)
 	}
 
-	compP, compF := delP.Compacted(), delF.Compacted()
-	if !compP.IsPacked() {
-		t.Fatal("compacting a packed index must re-pack")
-	}
-	assertAccessorsEqual(t, compF, compP)
-	assertIndexesEqual(t, compF, compP.Unpacked())
+	comp := del.Compacted()
+	assertAccessorsEqual(t, cold.nodes, comp)
+	coldIx := cold.pack()
+	assertIndexesEqual(t, coldIx, comp)
 
 	// The re-packed table must byte-match a cold rebuild's pack.
 	var a, b bytes.Buffer
-	if err := compP.SaveBinary(&a); err != nil {
+	if err := comp.writeBinary(&a); err != nil {
 		t.Fatal(err)
 	}
-	if err := compF.Pack().SaveBinary(&b); err != nil {
+	if err := coldIx.writeBinary(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("compacted re-pack must byte-match packing the compacted flat table")
+		t.Fatal("compacted re-pack must byte-match packing the cold rebuild")
 	}
 }
 
@@ -316,21 +324,21 @@ func TestPackedTextInterleavingNotMerged(t *testing.T) {
 		root.Append(a2)
 	}
 	doc := xmltree.NewDocument("interleave.xml", 0, root)
-	flat, err := BuildDocument(doc, DefaultOptions())
+	f, err := buildFlat(datagen.Repo(doc), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed := flat.Pack()
+	packed := f.pack()
 	if err := packed.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	assertAccessorsEqual(t, flat, packed)
+	assertAccessorsEqual(t, f.nodes, packed)
 }
 
 func TestNodeTableBytesAccounting(t *testing.T) {
-	flat := packedCorpora(t)["dblp-dup"]
-	packed := flat.Pack()
-	fb, pb := flat.NodeTableBytes(), packed.NodeTableBytes()
+	f := packedCorpora(t)["dblp-dup"]
+	packed := f.pack()
+	fb, pb := flatBytes(f.nodes), packed.NodeTableBytes()
 	if fb <= 0 || pb <= 0 {
 		t.Fatalf("node table byte accounting must be positive: flat %d, packed %d", fb, pb)
 	}

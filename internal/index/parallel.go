@@ -28,7 +28,7 @@ func BuildParallel(repo *xmltree.Repository, opts Options, workers int) (*Index,
 		return Build(repo, opts)
 	}
 
-	partials := make([]*Index, len(repo.Docs))
+	partials := make([]*flatIndex, len(repo.Docs))
 	errs := make([]error, len(repo.Docs))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
@@ -38,9 +38,10 @@ func BuildParallel(repo *xmltree.Repository, opts Options, workers int) (*Index,
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			// A one-document repository keeps the document's existing Dewey
+			// document number.
 			single := &xmltree.Repository{Docs: []*xmltree.Document{doc}}
-			ix, err := buildNoRenumber(single, opts)
-			partials[i], errs[i] = ix, err
+			partials[i], errs[i] = buildFlat(single, opts)
 		}(i, doc)
 	}
 	wg.Wait()
@@ -49,59 +50,46 @@ func BuildParallel(repo *xmltree.Repository, opts Options, workers int) (*Index,
 			return nil, fmt.Errorf("index: document %d (%s): %w", i, repo.Docs[i].Name, err)
 		}
 	}
-	return mergePartials(partials)
+	return mergePartials(partials).pack(), nil
 }
 
-// buildNoRenumber builds an index for a repository without touching the
-// documents' existing Dewey document numbers (Build on a sub-repository
-// would otherwise see them as-is anyway; this helper exists for clarity).
-func buildNoRenumber(repo *xmltree.Repository, opts Options) (*Index, error) {
-	return Build(repo, opts)
-}
-
-// mergePartials concatenates per-document indexes in order.
-func mergePartials(parts []*Index) (*Index, error) {
-	out := &Index{
+// mergePartials concatenates per-document flat indexes in order; the
+// result's statistics are finalized.
+func mergePartials(parts []*flatIndex) *flatIndex {
+	out := &flatIndex{ix: &Index{
 		Postings: make(map[string][]int32),
 		labelIDs: make(map[string]int32),
-	}
-	for _, p := range parts {
-		base := int32(len(out.Nodes))
+	}}
+	for _, part := range parts {
+		p := part.ix
+		base := int32(len(out.nodes))
 
 		// Remap the partial's label table into the global one.
 		labelMap := make([]int32, len(p.Labels))
 		for i, l := range p.Labels {
-			if id, ok := out.labelIDs[l]; ok {
-				labelMap[i] = id
-				continue
-			}
-			id := int32(len(out.Labels))
-			out.Labels = append(out.Labels, l)
-			out.labelIDs[l] = id
-			labelMap[i] = id
+			labelMap[i] = out.ix.labelID(l)
 		}
 
-		for i := range p.Nodes {
-			n := p.Nodes[i] // copy
+		for _, n := range part.nodes {
 			n.Label = labelMap[n.Label]
 			if n.Parent >= 0 {
 				n.Parent += base
 			}
-			out.Nodes = append(out.Nodes, n)
+			out.nodes = append(out.nodes, n)
 		}
 		for key, list := range p.Postings {
-			dst := out.Postings[key]
+			dst := out.ix.Postings[key]
 			for _, ord := range list {
 				dst = append(dst, ord+base)
 			}
-			out.Postings[key] = dst
+			out.ix.Postings[key] = dst
 		}
-		out.DocNames = append(out.DocNames, p.DocNames...)
-		if p.Stats.MaxDepth > out.Stats.MaxDepth {
-			out.Stats.MaxDepth = p.Stats.MaxDepth
+		out.ix.DocNames = append(out.ix.DocNames, p.DocNames...)
+		if p.Stats.MaxDepth > out.ix.Stats.MaxDepth {
+			out.ix.Stats.MaxDepth = p.Stats.MaxDepth
 		}
-		out.Stats.TextNodes += p.Stats.TextNodes
+		out.ix.Stats.TextNodes += p.Stats.TextNodes
 	}
 	out.finalizeStats()
-	return out, nil
+	return out
 }

@@ -73,15 +73,15 @@ func TestBuildParallelSearchableAcrossDocs(t *testing.T) {
 			if i > 0 && list[i-1] >= ord {
 				t.Fatalf("postings for %q not increasing after merge", kw)
 			}
-			if int(ord) >= len(ix.Nodes) {
+			if int(ord) >= ix.NodeCount() {
 				t.Fatalf("posting out of bounds for %q", kw)
 			}
 		}
 	}
 	// Parent pointers must resolve within the merged table.
-	for i := range ix.Nodes {
-		p := ix.Nodes[i].Parent
-		if p >= int32(i) || (p < 0 && len(ix.Nodes[i].ID.Path) != 1) {
+	for i := range int32(ix.NodeCount()) {
+		p := ix.ParentOf(i)
+		if p >= i || (p < 0 && len(ix.IDOf(i).Path) != 1) {
 			t.Fatalf("node %d has bad parent %d", i, p)
 		}
 	}

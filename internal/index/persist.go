@@ -2,122 +2,28 @@ package index
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 )
 
-// persisted is the gob wire format of an Index. Preparing the index "is a
-// onetime activity" (§2.4); Save/Load let tools and benchmarks reuse a
-// built index across runs, and SizeBytes reports the serialized size for
-// the Table 4 experiment.
-type persisted struct {
-	Version  int
-	Labels   []string
-	Nodes    []NodeInfo
-	Postings map[string][]int32
-	DocNames []string
-	Stats    Stats
-}
-
-const formatVersion = 1
-
-// Save writes the index to w in gob format (v1, legacy). New snapshots
-// should prefer SaveSnapshot / SaveFile, which add checksummed framing.
-// A tombstoned index is compacted first: deletes never reach disk as
-// masks, so every load yields a plain immutable index.
-func (ix *Index) Save(w io.Writer) error {
-	// gob encodes the Postings map directly, so a lazily-backed index must
-	// be materialized first (SaveBinary/SaveSnapshot stream instead), and
-	// the v1 wire format predates the packed node table, so a packed index
-	// is flattened.
-	ix, err := ix.Materialized()
-	if err != nil {
-		return err
-	}
-	ix = ix.Compacted().Unpacked()
-	enc := gob.NewEncoder(w)
-	p := persisted{
-		Version:  formatVersion,
-		Labels:   ix.Labels,
-		Nodes:    ix.Nodes,
-		Postings: ix.Postings,
-		DocNames: ix.DocNames,
-		Stats:    ix.Stats,
-	}
-	if err := enc.Encode(&p); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads an index previously written by Save (gob, format v1),
-// SaveBinary (compact binary, format v2) or SaveSnapshot (checksummed
-// envelope, format v3); the format is auto-detected from the leading bytes.
-// Damaged input fails with an ErrCorrupt-wrapped error; v1/v2 streams
-// detect damage on decode, while v3 verifies a CRC32 before decoding.
+// Load reads an index written by SaveSnapshot (the checksummed GKS3
+// format). The CRC32 is verified before anything is decoded, and damaged
+// input fails with an ErrCorrupt-wrapped error. The retired formats — gob
+// v1 and bare GKSI streams without the GKS3 envelope — fail the same way,
+// with an error that names them.
 func Load(r io.Reader) (*Index, error) {
-	return loadSized(r, -1)
-}
-
-// loadSized is Load with a bound on the bytes plausibly available in r
-// (size < 0 means unknown). The decoder uses the bound to cap
-// pre-allocations, so a corrupt header claiming billions of nodes cannot
-// demand a giant allocation from a tiny file.
-func loadSized(r io.Reader, size int64) (*Index, error) {
 	br := bufio.NewReader(r)
-	if magic, err := br.Peek(len(snapshotMagic)); err == nil && string(magic) == snapshotMagic {
-		if _, err := br.Discard(len(snapshotMagic)); err != nil {
-			return nil, fmt.Errorf("index: load: %w", err)
-		}
+	magic, _ := br.Peek(len(snapshotMagic))
+	switch string(magic) {
+	case snapshotMagic:
+		br.Discard(len(snapshotMagic))
 		return loadSnapshotAfterMagic(br)
+	case binaryMagic:
+		return nil, corruptf("bare GKSI stream: this retired format no longer loads; convert it to a GKS3 snapshot with an older release")
 	}
-	if magic, err := br.Peek(len(binaryMagic)); err == nil && string(magic) == binaryMagic {
-		if _, err := br.Discard(len(binaryMagic)); err != nil {
-			return nil, fmt.Errorf("index: load: %w", err)
-		}
-		if size >= 0 {
-			size -= int64(len(binaryMagic))
-		}
-		return loadBinaryAfterMagic(br, size)
-	}
-	return loadGob(br)
-}
-
-func loadGob(r io.Reader) (ix *Index, err error) {
-	// encoding/gob decodes adversarial input with errors, but a defensive
-	// recover keeps Load panic-free even if a decoder edge case slips
-	// through — corrupt snapshots must never crash a serving process.
-	defer func() {
-		if v := recover(); v != nil {
-			ix, err = nil, corruptf("gob decode panicked: %v", v)
-		}
-	}()
-	dec := gob.NewDecoder(r)
-	var p persisted
-	if err := dec.Decode(&p); err != nil {
-		return nil, corruptf("gob load: %v", err)
-	}
-	if p.Version != formatVersion {
-		return nil, corruptf("gob load: unsupported format version %d", p.Version)
-	}
-	ix = &Index{
-		Labels:   p.Labels,
-		Nodes:    p.Nodes,
-		Postings: p.Postings,
-		DocNames: p.DocNames,
-		Stats:    p.Stats,
-		labelIDs: make(map[string]int32, len(p.Labels)),
-	}
-	if ix.Postings == nil {
-		ix.Postings = make(map[string][]int32)
-	}
-	for i, l := range ix.Labels {
-		ix.labelIDs[l] = int32(i)
-	}
-	return ix, nil
+	return nil, corruptf("not a GKS3 snapshot (the retired gob v1 format no longer loads; convert it to GKS3 with an older release)")
 }
 
 // SaveFile writes the index to path in the checksummed snapshot format
@@ -128,21 +34,16 @@ func (ix *Index) SaveFile(path string) error {
 	return WriteFileAtomic(path, ix.SaveSnapshot)
 }
 
-// LoadFile reads an index from path (any format; see Load). Decode
-// failures are wrapped with ErrCorrupt and the file name, so startup and
-// reload paths surface "which snapshot is bad" rather than a raw
-// gob/varint error.
+// LoadFile reads a GKS3 snapshot from path (see Load). Decode failures
+// are wrapped with ErrCorrupt and the file name, so startup and reload
+// paths surface "which snapshot is bad" rather than a raw varint error.
 func LoadFile(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
 	defer f.Close()
-	size := int64(-1)
-	if fi, err := f.Stat(); err == nil {
-		size = fi.Size()
-	}
-	ix, err := loadSized(f, size)
+	ix, err := Load(f)
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
 			return nil, fmt.Errorf("index: snapshot %s: %w", path, err)
@@ -153,13 +54,9 @@ func LoadFile(path string) (*Index, error) {
 }
 
 // SizeBytes returns the size of the serialized index — the "Index Size"
-// column of Table 4 — as written by SaveSnapshot, the v3 checksummed
-// format everything actually ships. It used to measure the legacy gob v1
-// encoding, which forced a Materialized()+Unpacked() flattening of the
-// whole index and reported a format nothing writes anymore; the snapshot
-// writer streams lazy postings straight from their source and serializes
-// a packed node table without unpacking it, so this is cheap on every
-// representation.
+// column of Table 4 — as written by SaveSnapshot. The snapshot writer
+// streams lazy postings straight from their source, so this never
+// materializes a segment-backed index.
 func (ix *Index) SizeBytes() (int64, error) {
 	var cw countWriter
 	if err := ix.SaveSnapshot(&cw); err != nil {

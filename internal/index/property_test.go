@@ -37,19 +37,20 @@ func TestPropertyNodeTableInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := range ix.Nodes {
-			n := &ix.Nodes[i]
+		recs := records(ix)
+		for i := range recs {
+			n := &recs[i]
 			// Pre-order: IDs strictly increase.
-			if i > 0 && dewey.Compare(ix.Nodes[i-1].ID, n.ID) >= 0 {
+			if i > 0 && dewey.Compare(recs[i-1].ID, n.ID) >= 0 {
 				return false
 			}
 			// Subtree sizes: 1 <= Subtree <= remaining nodes; nested ranges.
-			if n.Subtree < 1 || int(n.Subtree) > len(ix.Nodes)-i {
+			if n.Subtree < 1 || int(n.Subtree) > ix.NodeCount()-i {
 				return false
 			}
 			// Parent is a proper pre-order predecessor whose range covers i.
 			if n.Parent >= 0 {
-				p := &ix.Nodes[n.Parent]
+				p := &recs[n.Parent]
 				if n.Parent >= int32(i) || !ix.ContainsOrd(n.Parent, int32(i)) {
 					return false
 				}
@@ -85,9 +86,9 @@ func TestPropertySubtreeRangesNest(t *testing.T) {
 			return false
 		}
 		// Ranges of any two nodes either nest or are disjoint.
-		for i := 0; i < len(ix.Nodes); i++ {
+		for i := 0; i < ix.NodeCount(); i++ {
 			si, ei := ix.SubtreeRange(int32(i))
-			for j := i + 1; j < len(ix.Nodes) && j < i+20; j++ {
+			for j := i + 1; j < ix.NodeCount() && j < i+20; j++ {
 				sj, ej := ix.SubtreeRange(int32(j))
 				overlap := sj < ei && si < ej
 				nested := (sj >= si && ej <= ei) || (si >= sj && ei <= ej)
@@ -113,14 +114,13 @@ func TestPropertyPostingsPointAtValueOrLabel(t *testing.T) {
 		for kw, list := range ix.Postings {
 			prev := int32(-1)
 			for _, ord := range list {
-				if ord <= prev || int(ord) >= len(ix.Nodes) {
+				if ord <= prev || int(ord) >= ix.NodeCount() {
 					return false
 				}
 				prev = ord
 				// The posting's node must carry the keyword in its value
 				// or its (normalized) label.
-				n := &ix.Nodes[ord]
-				if !n.HasValue && ix.LabelOf(ord) == "" {
+				if !ix.HasValueAt(ord) && ix.LabelOf(ord) == "" {
 					return false
 				}
 				_ = kw
@@ -150,7 +150,7 @@ func TestPropertyEntityDefinition(t *testing.T) {
 				if !ok {
 					return false
 				}
-				if ix.Nodes[ord].Cat&Entity != 0 {
+				if ix.CatOf(ord)&Entity != 0 {
 					if !entityByDefinition(n) {
 						return false
 					}

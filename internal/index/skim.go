@@ -2,7 +2,6 @@ package index
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,7 +16,7 @@ import (
 var ErrSkimUnsupported = errors.New("index: stats skim unsupported for this format")
 
 // SkimSnapshotStats returns the statistics of a GKS3 snapshot without
-// building the index: the v2 payload is scanned once — strings discarded,
+// building the index: the GKSI payload is scanned once — strings discarded,
 // posting deltas skipped — while the CRC is accumulated, so the whole
 // file is still integrity-checked but no node table or posting map is
 // ever allocated. This is what `gks stats` uses: O(1) memory instead of a
@@ -46,32 +45,9 @@ func skimSnapshotStats(br *bufio.Reader) (Stats, error) {
 		return Stats{}, ErrSkimUnsupported
 	}
 
-	// GKS3 envelope, as in loadSnapshotAfterMagic.
-	hdrLen, err := binary.ReadUvarint(br)
+	hdr, payloadLen, err := readSnapshotHeader(br)
 	if err != nil {
-		return Stats{}, corruptf("snapshot header length: %v", err)
-	}
-	if hdrLen == 0 || hdrLen > maxSnapshotHeader {
-		return Stats{}, corruptf("implausible snapshot header length %d", hdrLen)
-	}
-	hdr := make([]byte, hdrLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return Stats{}, corruptf("snapshot header: %v", err)
-	}
-	hr := bytes.NewReader(hdr)
-	version, err := binary.ReadUvarint(hr)
-	if err != nil {
-		return Stats{}, corruptf("snapshot version: %v", err)
-	}
-	if version != snapshotVersion {
-		return Stats{}, corruptf("unsupported snapshot version %d", version)
-	}
-	payloadLen, err := binary.ReadUvarint(hr)
-	if err != nil {
-		return Stats{}, corruptf("snapshot payload length: %v", err)
-	}
-	if payloadLen > 1<<62 {
-		return Stats{}, corruptf("implausible snapshot payload length %d", payloadLen)
+		return Stats{}, err
 	}
 
 	// Skim the payload through the CRC: everything up to the trailing
@@ -98,8 +74,8 @@ func skimSnapshotStats(br *bufio.Reader) (Stats, error) {
 	return st, nil
 }
 
-// skimBinaryStats walks a v2 image, discarding everything except the
-// trailing statistics.
+// skimBinaryStats walks a GKSI image of either version, discarding
+// everything except the trailing statistics.
 func skimBinaryStats(br *bufio.Reader) (Stats, error) {
 	var st Stats
 	bad := func(what string, err error) (Stats, error) {
@@ -129,6 +105,120 @@ func skimBinaryStats(br *bufio.Reader) (Stats, error) {
 		return nil
 	}
 
+	// count reads an element count; every element takes at least a byte,
+	// and counts are int32-bounded.
+	count := func(what string) (uint64, error) {
+		n, err := uv()
+		if err != nil {
+			return 0, err
+		}
+		if n > 1<<31 {
+			return 0, corruptf("stats skim: implausible %s %d", what, n)
+		}
+		return n, nil
+	}
+	// skipRecords skips n node records of one uvarint, a category byte and
+	// rest more uvarints each — the spine and shape layout of writeMeta.
+	skipRecords := func(what string, rest uint64) error {
+		n, err := count(what)
+		if err != nil {
+			return err
+		}
+		for i := uint64(0); i < n; i++ {
+			if _, err := uv(); err != nil {
+				return err
+			}
+			if _, err := br.Discard(1); err != nil {
+				return err
+			}
+			if err := skipUvarints(rest); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	skipPackedNodes := func() error {
+		if _, err := uv(); err != nil { // node count
+			return err
+		}
+		if err := skipRecords("spine count", 6); err != nil {
+			return err
+		}
+		nInst, err := count("instance count")
+		if err != nil {
+			return err
+		}
+		if err := skipUvarints(5 * nInst); err != nil {
+			return err
+		}
+		nShapes, err := count("shape count")
+		if err != nil {
+			return err
+		}
+		for s := uint64(0); s < nShapes; s++ {
+			if err := skipRecords("shape size", 6); err != nil {
+				return err
+			}
+		}
+		nVals, err := count("value count")
+		if err != nil {
+			return err
+		}
+		arena, err := count("value arena length")
+		if err != nil {
+			return err
+		}
+		if _, err := br.Discard(int(arena)); err != nil {
+			return err
+		}
+		if err := skipUvarints(nVals); err != nil {
+			return err
+		}
+		nRoots, err := count("document root count")
+		if err != nil {
+			return err
+		}
+		return skipUvarints(2 * nRoots)
+	}
+	skipFlatNodes := func() error {
+		nNodes, err := count("node count")
+		if err != nil {
+			return err
+		}
+		for i := uint64(0); i < nNodes; i++ {
+			// dewey: doc + path length + path components.
+			if _, err := uv(); err != nil {
+				return err
+			}
+			plen, err := uv()
+			if err != nil {
+				return err
+			}
+			if plen > 1<<20 {
+				return corruptf("stats skim: implausible path length %d", plen)
+			}
+			if err := skipUvarints(plen + 1); err != nil { // path + label
+				return err
+			}
+			if _, err := br.Discard(1); err != nil { // category
+				return err
+			}
+			if err := skipUvarints(3); err != nil { // childCount subtree parent
+				return err
+			}
+			hv, err := br.ReadByte()
+			if err != nil {
+				return err
+			}
+			if hv == 1 {
+				if err := skipString(); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return bad("magic", err)
@@ -140,17 +230,14 @@ func skimBinaryStats(br *bufio.Reader) (Stats, error) {
 	if err != nil {
 		return bad("version", err)
 	}
-	if version != binaryVersion {
+	if version != binaryVersionFlat && version != binaryVersionPacked {
 		return Stats{}, corruptf("stats skim: unsupported version %d", version)
 	}
 
 	for _, section := range []string{"label", "doc"} {
-		n, err := uv()
+		n, err := count(section + " count")
 		if err != nil {
 			return bad(section+" count", err)
-		}
-		if n > 1<<31 {
-			return Stats{}, corruptf("stats skim: implausible %s count %d", section, n)
 		}
 		for i := uint64(0); i < n; i++ {
 			if err := skipString(); err != nil {
@@ -159,43 +246,12 @@ func skimBinaryStats(br *bufio.Reader) (Stats, error) {
 		}
 	}
 
-	nNodes, err := uv()
-	if err != nil {
-		return bad("node count", err)
-	}
-	if nNodes > 1<<31 {
-		return Stats{}, corruptf("stats skim: implausible node count %d", nNodes)
-	}
-	for i := uint64(0); i < nNodes; i++ {
-		// dewey: doc + path length + path components.
-		if _, err := uv(); err != nil {
-			return bad("dewey doc", err)
+	if version == binaryVersionPacked {
+		if err := skipPackedNodes(); err != nil {
+			return bad("packed node table", err)
 		}
-		plen, err := uv()
-		if err != nil {
-			return bad("dewey length", err)
-		}
-		if plen > 1<<20 {
-			return Stats{}, corruptf("stats skim: implausible path length %d", plen)
-		}
-		if err := skipUvarints(plen + 1); err != nil { // path + label
-			return bad("node", err)
-		}
-		if _, err := br.Discard(1); err != nil { // category
-			return bad("node category", err)
-		}
-		if err := skipUvarints(3); err != nil { // childCount subtree parent
-			return bad("node", err)
-		}
-		hv, err := br.ReadByte()
-		if err != nil {
-			return bad("has-value flag", err)
-		}
-		if hv == 1 {
-			if err := skipString(); err != nil {
-				return bad("value", err)
-			}
-		}
+	} else if err := skipFlatNodes(); err != nil {
+		return bad("node table", err)
 	}
 
 	nKeys, err := uv()

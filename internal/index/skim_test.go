@@ -67,6 +67,21 @@ func TestSkimSnapshotStats(t *testing.T) {
 	if st != ix.Stats {
 		t.Fatalf("SkimSnapshotStats = %+v, want %+v", st, ix.Stats)
 	}
+
+	// A snapshot with a flat node table, written before packing became the
+	// only node table, skims too.
+	flat := filepath.Join("testdata", "flat-v2.gks3")
+	st, err = SkimSnapshotStats(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadFile(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != loaded.Stats {
+		t.Fatalf("flat snapshot: SkimSnapshotStats = %+v, want %+v", st, loaded.Stats)
+	}
 }
 
 // TestSkimSnapshotStatsBitFlips flips every byte of a saved snapshot: the
@@ -109,39 +124,16 @@ func TestSkimSnapshotStatsBitFlips(t *testing.T) {
 	}
 }
 
-// TestSkimUnsupportedFormats: pre-GKS3 formats do not carry a trailing
+// TestSkimUnsupportedFormats: the retired formats do not carry a trailing
 // checksum the skim can verify, so it must refuse with the sentinel and
-// leave the caller to fall back to a full load.
+// leave the caller to fall back to a full load (which names the format).
 func TestSkimUnsupportedFormats(t *testing.T) {
-	ix := buildFig2a(t)
-	dir := t.TempDir()
-
-	gob := filepath.Join(dir, "v1.gksidx")
-	f, err := os.Create(gob)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"retired-v1.gob", "retired-v2.gksi"} {
+		if _, err := SkimSnapshotStats(filepath.Join("testdata", name)); !errors.Is(err, ErrSkimUnsupported) {
+			t.Fatalf("skim over %s: err = %v, want ErrSkimUnsupported", name, err)
+		}
 	}
-	if err := ix.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, err := SkimSnapshotStats(gob); !errors.Is(err, ErrSkimUnsupported) {
-		t.Fatalf("skim over gob snapshot: err = %v, want ErrSkimUnsupported", err)
-	}
-
-	var bin bytes.Buffer
-	if err := ix.SaveBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	v2 := filepath.Join(dir, "v2.gksidx")
-	if err := os.WriteFile(v2, bin.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SkimSnapshotStats(v2); !errors.Is(err, ErrSkimUnsupported) {
-		t.Fatalf("skim over bare v2 image: err = %v, want ErrSkimUnsupported", err)
-	}
-
-	if _, err := SkimSnapshotStats(filepath.Join(dir, "missing.gksidx")); err == nil || errors.Is(err, ErrCorrupt) {
+	if _, err := SkimSnapshotStats(filepath.Join(t.TempDir(), "missing.gksidx")); err == nil || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("skim over missing file: err = %v, want a plain I/O error", err)
 	}
 }

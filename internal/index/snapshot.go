@@ -25,7 +25,7 @@ func corruptf(format string, args ...any) error {
 }
 
 // Snapshot format ("GKS3", version 3): a durability envelope around the
-// compact binary codec (format v2, binary.go). The v2 payload is framed by a
+// GKSI image (binary.go). The payload is framed by a
 // self-describing header and sealed with a trailing checksum so that
 // truncation and bit flips are detected up front — the loader never decodes
 // damaged bytes into a serving index.
@@ -37,7 +37,7 @@ func corruptf(format string, args ...any) error {
 //	header (headerLen bytes):
 //	    envelope version (= 3)            uvarint
 //	    payloadLen                        uvarint
-//	payload (payloadLen bytes):           a complete v2 image ("GKSI"...)
+//	payload (payloadLen bytes):           a complete GKSI image
 //	crc32                                 4 bytes little-endian,
 //	                                      IEEE over header ++ payload
 const snapshotMagic = "GKS3"
@@ -48,12 +48,12 @@ const snapshotVersion = 3
 // varints, so anything larger proves corruption.
 const maxSnapshotHeader = 1 << 10
 
-// SaveSnapshot writes the index in the checksummed snapshot format (v3).
-// This is the durable on-disk format used by SaveFile; SaveBinary remains
-// available for raw v2 streams and Save for the legacy gob format.
+// SaveSnapshot writes the index in the checksummed snapshot format (v3),
+// the only snapshot format written. SaveFile writes the same bytes
+// atomically to a file.
 func (ix *Index) SaveSnapshot(w io.Writer) error {
 	var payload bytes.Buffer
-	if err := ix.SaveBinary(&payload); err != nil {
+	if err := ix.writeBinary(&payload); err != nil {
 		return err
 	}
 	var hdr []byte
@@ -88,31 +88,9 @@ func (ix *Index) SaveSnapshot(w io.Writer) error {
 // being decoded into garbage; io.ReadAll grows with the bytes actually
 // present, so a corrupt payloadLen cannot force a giant upfront allocation.
 func loadSnapshotAfterMagic(br *bufio.Reader) (*Index, error) {
-	hdrLen, err := binary.ReadUvarint(br)
+	hdr, payloadLen, err := readSnapshotHeader(br)
 	if err != nil {
-		return nil, corruptf("snapshot header length: %v", err)
-	}
-	if hdrLen == 0 || hdrLen > maxSnapshotHeader {
-		return nil, corruptf("implausible snapshot header length %d", hdrLen)
-	}
-	hdr := make([]byte, hdrLen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, corruptf("snapshot header: %v", err)
-	}
-	hr := bytes.NewReader(hdr)
-	version, err := binary.ReadUvarint(hr)
-	if err != nil {
-		return nil, corruptf("snapshot version: %v", err)
-	}
-	if version != snapshotVersion {
-		return nil, corruptf("unsupported snapshot version %d", version)
-	}
-	payloadLen, err := binary.ReadUvarint(hr)
-	if err != nil {
-		return nil, corruptf("snapshot payload length: %v", err)
-	}
-	if payloadLen > 1<<62 {
-		return nil, corruptf("implausible snapshot payload length %d", payloadLen)
+		return nil, err
 	}
 	// A short read here is truncation inside the length-framed payload —
 	// corruption, not an environmental I/O failure, so it carries the same
@@ -135,9 +113,42 @@ func loadSnapshotAfterMagic(br *bufio.Reader) (*Index, error) {
 	if got, want := binary.LittleEndian.Uint32(tail[:]), crc.Sum32(); got != want {
 		return nil, corruptf("snapshot checksum mismatch: stored %08x, computed %08x", got, want)
 	}
-	// The payload is a verified, complete v2 image; decode it with its
-	// exact size as the allocation bound.
-	return loadSized(bytes.NewReader(payload), int64(len(payload)))
+	// The payload is a verified, complete image; its length bounds every
+	// allocation the decoder makes.
+	return decodeBinary(payload)
+}
+
+// readSnapshotHeader reads the length-framed header that follows the
+// magic and returns its raw bytes (the checksum covers them) and the
+// payload length.
+func readSnapshotHeader(br *bufio.Reader) (hdr []byte, payloadLen uint64, err error) {
+	hdrLen, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, 0, corruptf("snapshot header length: %v", err)
+	}
+	if hdrLen == 0 || hdrLen > maxSnapshotHeader {
+		return nil, 0, corruptf("implausible snapshot header length %d", hdrLen)
+	}
+	hdr = make([]byte, hdrLen)
+	if _, err := io.ReadFull(br, hdr); err != nil {
+		return nil, 0, corruptf("snapshot header: %v", err)
+	}
+	hr := bytes.NewReader(hdr)
+	version, err := binary.ReadUvarint(hr)
+	if err != nil {
+		return nil, 0, corruptf("snapshot version: %v", err)
+	}
+	if version != snapshotVersion {
+		return nil, 0, corruptf("unsupported snapshot version %d", version)
+	}
+	payloadLen, err = binary.ReadUvarint(hr)
+	if err != nil {
+		return nil, 0, corruptf("snapshot payload length: %v", err)
+	}
+	if payloadLen > 1<<62 {
+		return nil, 0, corruptf("implausible snapshot payload length %d", payloadLen)
+	}
+	return hdr, payloadLen, nil
 }
 
 // testInterceptWriter, when non-nil, wraps the temp-file writer inside

@@ -2,8 +2,10 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -165,21 +167,23 @@ func TestLoadFileCorruptNamesFile(t *testing.T) {
 	if err := ix.SaveSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	var gob bytes.Buffer
-	if err := ix.Save(&gob); err != nil {
-		t.Fatal(err)
+	fixture := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	var bin bytes.Buffer
-	if err := ix.SaveBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
+	flat, gob, bin := fixture("flat-v2.gks3"), fixture("retired-v1.gob"), fixture("retired-v2.gksi")
 
 	cases := map[string][]byte{
-		"garbage.gksidx":       []byte("this is not an index at all"),
-		"truncated-v3.gksidx":  snap.Bytes()[:snap.Len()/2],
-		"flipped-v3.gksidx":    flipByte(snap.Bytes(), snap.Len()-2),
-		"truncated-gob.gksidx": gob.Bytes()[:gob.Len()/2],
-		"truncated-v2.gksidx":  bin.Bytes()[:bin.Len()/2],
+		"garbage.gksidx":        []byte("this is not an index at all"),
+		"truncated-v3.gksidx":   snap.Bytes()[:snap.Len()/2],
+		"flipped-v3.gksidx":     flipByte(snap.Bytes(), snap.Len()-2),
+		"truncated-flat.gksidx": flat[:len(flat)/2],
+		"flipped-flat.gksidx":   flipByte(flat, len(flat)/2),
+		"truncated-gob.gksidx":  gob[:len(gob)/2],
+		"truncated-v2.gksidx":   bin[:len(bin)/2],
 	}
 	for name, data := range cases {
 		path := filepath.Join(dir, name)
@@ -213,28 +217,28 @@ func flipByte(b []byte, i int) []byte {
 	return out
 }
 
-// TestLoadBoundedAllocation feeds headers that claim astronomically many
+// TestLoadBoundedAllocation feeds images that claim astronomically many
 // nodes/postings backed by almost no bytes; the loader must reject them as
-// corrupt (given the known file size) instead of pre-allocating gigabytes.
+// corrupt (the checksummed payload's size bounds every count) instead of
+// pre-allocating gigabytes.
 func TestLoadBoundedAllocation(t *testing.T) {
 	dir := t.TempDir()
 
-	// v2 stream: magic, version 2, 0 labels, 0 docs, 2^30 nodes... and EOF.
-	hugeNodes := append([]byte(binaryMagic), 2, 0, 0)
-	hugeNodes = appendUvarint(hugeNodes, 1<<30)
-	path := filepath.Join(dir, "huge-nodes.gksidx")
-	if err := os.WriteFile(path, hugeNodes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err == nil || !errors.Is(err, ErrCorrupt) {
-		t.Errorf("huge node count: want ErrCorrupt, got %v", err)
-	}
-
-	// Same stream through size-unknown Load: it may begin decoding, but the
-	// bounded pre-allocation means it fails on EOF after a small allocation
-	// rather than demanding 2^30 * sizeof(NodeInfo) up front.
-	if _, err := Load(bytes.NewReader(hugeNodes)); err == nil {
-		t.Error("huge node count loaded without error from stream")
+	// Flat (version 2) and packed (version 3) payloads: magic, version,
+	// 0 labels, 0 docs, 2^30 nodes (and, packed, 2^30 spine records)...
+	// and nothing behind them, sealed in a valid GKS3 envelope.
+	hugeFlat := append([]byte(binaryMagic), binaryVersionFlat, 0, 0)
+	hugeFlat = appendUvarint(hugeFlat, 1<<30)
+	hugePacked := append([]byte(binaryMagic), binaryVersionPacked, 0, 0)
+	hugePacked = appendUvarint(appendUvarint(hugePacked, 1<<30), 1<<30)
+	for name, payload := range map[string][]byte{"huge-flat": hugeFlat, "huge-packed": hugePacked} {
+		path := filepath.Join(dir, name+".gksidx")
+		if err := os.WriteFile(path, envelope(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(path); err == nil || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: want ErrCorrupt, got %v", name, err)
+		}
 	}
 
 	// v3 envelope claiming a multi-GB payload that is not there.
@@ -245,6 +249,16 @@ func TestLoadBoundedAllocation(t *testing.T) {
 	if _, err := Load(bytes.NewReader(frame)); err == nil || !errors.Is(err, ErrCorrupt) {
 		t.Errorf("lying v3 payload length: want ErrCorrupt, got %v", err)
 	}
+}
+
+// envelope seals payload in a GKS3 frame with a correct checksum, so the
+// loader gets past the CRC and decodes it.
+func envelope(payload []byte) []byte {
+	hdr := appendUvarint(nil, snapshotVersion)
+	hdr = appendUvarint(hdr, uint64(len(payload)))
+	frame := append([]byte(snapshotMagic), byte(len(hdr)))
+	frame = append(append(frame, hdr...), payload...)
+	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(append(hdr, payload...)))
 }
 
 func appendUvarint(b []byte, v uint64) []byte {
@@ -261,13 +275,26 @@ func TestValidateCatchesDamage(t *testing.T) {
 		t.Fatalf("healthy index fails validation: %v", err)
 	}
 
+	// spine returns the spine slot of ord, which must be stored
+	// individually in Figure 2(a)'s table.
+	spine := func(ix *Index, ord int32) int32 {
+		v := ix.packed.ordInst[ord]
+		if v >= 0 {
+			t.Fatalf("ordinal %d is not a spine node", ord)
+		}
+		return ^v
+	}
 	mutate := map[string]func(*Index){
-		"label out of range":   func(ix *Index) { ix.Nodes[0].Label = int32(len(ix.Labels)) },
-		"parent not preceding": func(ix *Index) { ix.Nodes[1].Parent = 1 },
-		"subtree overruns":     func(ix *Index) { ix.Nodes[0].Subtree = int32(len(ix.Nodes)) + 5 },
+		"label out of range": func(ix *Index) { ix.packed.spLabel[spine(ix, 0)] = int32(len(ix.Labels)) },
+		"parent not preceding": func(ix *Index) {
+			ix.packed.spParent[spine(ix, 1)] = 1
+		},
+		"subtree overruns": func(ix *Index) {
+			ix.packed.spSubtree[spine(ix, 0)] = int32(ix.NodeCount()) + 5
+		},
 		"posting out of range": func(ix *Index) {
 			for kw := range ix.Postings {
-				ix.Postings[kw] = []int32{int32(len(ix.Nodes))}
+				ix.Postings[kw] = []int32{int32(ix.NodeCount())}
 				break
 			}
 		},
@@ -283,6 +310,31 @@ func TestValidateCatchesDamage(t *testing.T) {
 		fn(ix)
 		if err := ix.Validate(); err == nil {
 			t.Errorf("%s: validation passed on damaged index", name)
+		}
+	}
+}
+
+// TestValidateFlatCatchesDamage covers the checks flat records from an
+// older snapshot or segment must pass before they are packed.
+func TestValidateFlatCatchesDamage(t *testing.T) {
+	ix := buildFig2a(t)
+	nLabels := int32(len(ix.Labels))
+	if err := validateFlat(records(ix), nLabels); err != nil {
+		t.Fatalf("healthy records fail validation: %v", err)
+	}
+	mutate := map[string]func([]nodeInfo){
+		"label out of range":   func(n []nodeInfo) { n[0].Label = nLabels },
+		"parent not preceding": func(n []nodeInfo) { n[1].Parent = 1 },
+		"negative child count": func(n []nodeInfo) { n[2].ChildCount = -1 },
+		"subtree overruns":     func(n []nodeInfo) { n[0].Subtree = int32(len(n)) + 5 },
+		"empty subtree":        func(n []nodeInfo) { n[3].Subtree = 0 },
+		"empty dewey path":     func(n []nodeInfo) { n[4].ID.Path = nil },
+	}
+	for name, fn := range mutate {
+		recs := records(ix)
+		fn(recs)
+		if err := validateFlat(recs, nLabels); err == nil {
+			t.Errorf("%s: validation passed on damaged records", name)
 		}
 	}
 }

@@ -51,33 +51,49 @@ type childSummary struct {
 // BuildStream indexes one XML document from r as document docID of a
 // repository, in a single pass.
 func BuildStream(r io.Reader, docID int32, name string, opts Options) (*Index, error) {
-	ix := &Index{
+	f, err := buildStream(r, docID, name, opts)
+	if err != nil {
+		return nil, err
+	}
+	return f.pack(), nil
+}
+
+// buildStream is BuildStream up to (not including) packing.
+func buildStream(r io.Reader, docID int32, name string, opts Options) (*flatIndex, error) {
+	f := &flatIndex{ix: &Index{
 		Postings: make(map[string][]int32),
 		labelIDs: make(map[string]int32),
 		DocNames: []string{name},
-	}
-	b := &streamBuilder{ix: ix, opts: opts, docID: docID}
+	}}
+	b := &streamBuilder{f: f, opts: opts, docID: docID}
 	if err := b.run(r, name); err != nil {
 		return nil, err
 	}
 	// Mixed content can emit an ancestor's text tokens after descendant
 	// ordinals; one final sort restores per-keyword Dewey order.
-	for kw, list := range ix.Postings {
+	for _, list := range f.ix.Postings {
 		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		ix.Postings[kw] = list
 	}
-	ix.finalizeStats()
-	return ix, nil
+	f.finalizeStats()
+	return f, nil
 }
 
 // BuildStreamFile indexes the XML file at path in a single pass.
 func BuildStreamFile(path string, docID int32, opts Options) (*Index, error) {
-	f, err := os.Open(path)
+	f, err := buildStreamFile(path, docID, opts)
+	if err != nil {
+		return nil, err
+	}
+	return f.pack(), nil
+}
+
+func buildStreamFile(path string, docID int32, opts Options) (*flatIndex, error) {
+	fh, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
-	defer f.Close()
-	return BuildStream(f, docID, path, opts)
+	defer fh.Close()
+	return buildStream(fh, docID, path, opts)
 }
 
 // BuildStreamFiles streams every file and merges the partial indexes into
@@ -86,19 +102,19 @@ func BuildStreamFiles(paths []string, opts Options) (*Index, error) {
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("index: no input files")
 	}
-	parts := make([]*Index, len(paths))
+	parts := make([]*flatIndex, len(paths))
 	for i, p := range paths {
-		ix, err := BuildStreamFile(p, int32(i), opts)
+		f, err := buildStreamFile(p, int32(i), opts)
 		if err != nil {
 			return nil, err
 		}
-		parts[i] = ix
+		parts[i] = f
 	}
-	return mergePartials(parts)
+	return mergePartials(parts).pack(), nil
 }
 
 type streamBuilder struct {
-	ix    *Index
+	f     *flatIndex
 	opts  Options
 	docID int32
 }
@@ -170,7 +186,7 @@ func (b *streamBuilder) run(r io.Reader, name string) error {
 			top.textChunks = append(top.textChunks, text)
 			top.childCount++
 			top.elemOrder++
-			b.ix.Stats.TextNodes++
+			b.f.ix.Stats.TextNodes++
 			for _, tok := range textproc.Normalize(text) {
 				if !top.seenTokens[tok] {
 					top.seenTokens[tok] = true
@@ -193,16 +209,16 @@ type openedFrame struct {
 	labelAlias int32
 }
 
-// openElement appends the NodeInfo shell and posts the label keyword.
+// openElement appends the node record shell and posts the label keyword.
 func (b *streamBuilder) openElement(label string, path []int32, depth int) openedFrame {
-	ix := b.ix
-	ord := int32(len(ix.Nodes))
-	labelID := b.labelID(label)
+	ix := b.f.ix
+	ord := int32(len(b.f.nodes))
+	labelID := ix.labelID(label)
 	id := dewey.ID{Doc: b.docID, Path: append([]int32(nil), path...)}
 	// Parent ordinals are assigned when the parent closes (closeElement);
 	// until then every node carries -1, which is also the final value for
 	// document roots.
-	ix.Nodes = append(ix.Nodes, NodeInfo{ID: id, Label: labelID, Parent: -1})
+	b.f.nodes = append(b.f.nodes, nodeInfo{ID: id, Label: labelID, Parent: -1})
 	if depth > ix.Stats.MaxDepth {
 		ix.Stats.MaxDepth = depth
 	}
@@ -243,7 +259,7 @@ func (b *streamBuilder) attrChild(stack []*streamFrame, path *[]int32, name, val
 		f.textChunks = append(f.textChunks, text)
 		f.childCount++
 		f.elemOrder++
-		b.ix.Stats.TextNodes++
+		b.f.ix.Stats.TextNodes++
 		for _, tok := range textproc.Normalize(text) {
 			if !f.seenTokens[tok] {
 				f.seenTokens[tok] = true
@@ -260,9 +276,9 @@ func (b *streamBuilder) attrChild(stack []*streamFrame, path *[]int32, name, val
 // closeElement finalizes subtree size, value, child categories and the
 // frame's visibility tallies, returning the summary for its parent.
 func (b *streamBuilder) closeElement(f *streamFrame) childSummary {
-	ix := b.ix
-	info := &ix.Nodes[f.ord]
-	info.Subtree = int32(len(ix.Nodes)) - f.ord
+	nodes := b.f.nodes
+	info := &nodes[f.ord]
+	info.Subtree = int32(len(nodes)) - f.ord
 	info.ChildCount = f.childCount
 	if len(f.textChunks) > 0 {
 		info.HasValue = true
@@ -275,8 +291,8 @@ func (b *streamBuilder) closeElement(f *streamFrame) childSummary {
 	for _, cs := range f.children {
 		isRep := f.labelCount[cs.label] > 1
 		cat := classify(cs.directValue, isRep, cs.attrC, cs.repC, cs.bothC)
-		ix.Nodes[cs.ord].Cat = cat
-		ix.Nodes[cs.ord].Parent = f.ord
+		nodes[cs.ord].Cat = cat
+		nodes[cs.ord].Parent = f.ord
 		qa, rv := visibility(cat, cs.attrC, cs.repC, cs.bothC)
 		switch {
 		case qa && rv:
@@ -292,13 +308,13 @@ func (b *streamBuilder) closeElement(f *streamFrame) childSummary {
 	// repeating).
 	if f.depth == 0 {
 		directValue := info.Subtree == 1 && info.HasValue && info.ChildCount == 1
-		ix.Nodes[f.ord].Cat = classify(directValue, false, attrC, repC, bothC)
-		ix.Nodes[f.ord].Parent = -1
+		info.Cat = classify(directValue, false, attrC, repC, bothC)
+		info.Parent = -1
 	}
 
 	return childSummary{
 		ord:         f.ord,
-		label:       ix.Nodes[f.ord].Label,
+		label:       info.Label,
 		directValue: info.Subtree == 1 && info.HasValue && info.ChildCount == 1,
 		attrC:       attrC,
 		repC:        repC,
@@ -340,16 +356,6 @@ func visibility(cat Category, attrC, repC, bothC int) (qa, rv bool) {
 	}
 }
 
-func (b *streamBuilder) labelID(label string) int32 {
-	if id, ok := b.ix.labelIDs[label]; ok {
-		return id
-	}
-	id := int32(len(b.ix.Labels))
-	b.ix.Labels = append(b.ix.Labels, label)
-	b.ix.labelIDs[label] = id
-	return id
-}
-
 func (b *streamBuilder) post(keyword string, ord int32) {
-	b.ix.Postings[keyword] = append(b.ix.Postings[keyword], ord)
+	b.f.ix.Postings[keyword] = append(b.f.ix.Postings[keyword], ord)
 }

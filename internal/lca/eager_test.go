@@ -119,7 +119,7 @@ func TestFSLCAForType(t *testing.T) {
 	}
 	for _, o := range nodes {
 		if ix.LabelOf(o) != "Course" {
-			t.Errorf("node %s has label %s", ix.Nodes[o].ID, ix.LabelOf(o))
+			t.Errorf("node %s has label %s", ix.IDOf(o), ix.LabelOf(o))
 		}
 	}
 	// Plain AND within the type: {karen, mike} → 2 courses.

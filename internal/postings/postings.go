@@ -2,7 +2,7 @@
 // inverted index: strictly increasing node ordinals stored as
 // delta-encoded unsigned varints, the standard representation in
 // production inverted indexes. The compact binary index format
-// (internal/index, format v2) stores every keyword's list this way; the
+// (internal/index, the GKSI image) stores every keyword's list this way; the
 // paper's own index (§2.4) stores sorted Dewey lists, for which ordinal
 // deltas are the dense equivalent.
 package postings

@@ -137,7 +137,7 @@ func TestRankIndependentOfAbsoluteDepth(t *testing.T) {
 	score := func(doc *xmltree.Document) float64 {
 		ix := build(t, doc)
 		var box int32 = -1
-		for ord := range ix.Nodes {
+		for ord := range ix.NodeCount() {
 			if ix.LabelOf(int32(ord)) == "box" {
 				box = int32(ord)
 			}

@@ -91,8 +91,8 @@ func TestSchemaCategorizationUpgradesSingletonInstances(t *testing.T) {
 	// Instance level: the Seminar course (one student) is NOT an entity.
 	seminarID := "0.0.1.1.1"
 	ord := mustOrd(t, ix, seminarID)
-	if ix.Nodes[ord].Cat&index.Entity != 0 {
-		t.Fatalf("instance-level Seminar course should not be an entity, got %v", ix.Nodes[ord].Cat)
+	if ix.CatOf(ord)&index.Entity != 0 {
+		t.Fatalf("instance-level Seminar course should not be an entity, got %v", ix.CatOf(ord))
 	}
 
 	s := Infer(ix)
@@ -105,8 +105,8 @@ func TestSchemaCategorizationUpgradesSingletonInstances(t *testing.T) {
 	if cats[stOrd]&index.Repeating == 0 {
 		t.Errorf("schema-level singleton Student must be repeating, got %v", cats[stOrd])
 	}
-	if ix.Nodes[stOrd].Cat != index.Attribute {
-		t.Errorf("instance-level singleton Student should be attribute, got %v", ix.Nodes[stOrd].Cat)
+	if ix.CatOf(stOrd) != index.Attribute {
+		t.Errorf("instance-level singleton Student should be attribute, got %v", ix.CatOf(stOrd))
 	}
 }
 
@@ -116,11 +116,11 @@ func TestSchemaCategorizationAgreesOnRegularInstances(t *testing.T) {
 	// schema-repeating labels (the Theory area's single Course).
 	ix := build(t, xmltree.BuildFigure2a())
 	cats := Infer(ix).Categorize(ix)
-	for i := range ix.Nodes {
-		inst := ix.Nodes[i].Cat
+	for i := int32(0); i < int32(ix.NodeCount()); i++ {
+		inst := ix.CatOf(i)
 		if cats[i] != inst && cats[i] != inst|index.Repeating {
 			t.Errorf("node %s: schema %v vs instance %v",
-				ix.Nodes[i].ID, cats[i], inst)
+				ix.IDOf(i), cats[i], inst)
 		}
 	}
 	// The singleton Course indeed gains the Repeating flag.

@@ -129,7 +129,7 @@ func OpenFile(path string, opts Options) (*Reader, error) {
 	if crc32.ChecksumIEEE(metaBuf) != foot.metaCRC {
 		return fail(corruptf("segment %s: meta checksum mismatch", path))
 	}
-	meta, err := index.DecodeMeta(bytes.NewReader(metaBuf), int64(len(metaBuf)))
+	meta, err := index.DecodeMeta(metaBuf)
 	if err != nil {
 		if errIsCorrupt(err) {
 			return fail(fmt.Errorf("segment %s: %w", path, err))

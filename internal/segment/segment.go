@@ -30,14 +30,14 @@
 //	  packed (leading uvarint 0, impossible as a label count):
 //	    the DAG-compressed node table of index.EncodeMeta — spine /
 //	    instance / shape / value-arena arrays; shared subtrees stored
-//	    once. The writer emits this variant by default (see
-//	    WriterOptions.FlatNodes) and the reader accepts both.
+//	    once. The writer emits only this variant; the reader accepts
+//	    both, packing flat records as they load.
 //	posting blocks                    concatenated, each flate-compressed;
 //	                                  decompressed form: the delta-varint
 //	                                  posting lists of whole terms, packed
 //	                                  back to back
 //	footer:
-//	    stats                         10 uvarints (field order of format v2)
+//	    stats                         10 uvarints (field order of the GKSI image)
 //	    metaOff metaLen               uvarints
 //	    metaCRC                       uvarint (CRC32-IEEE of meta bytes)
 //	    blockCount                    uvarint, then per block:
@@ -136,7 +136,7 @@ func (nopMetrics) SetBlockCacheBytes(int64)        {}
 func (nopMetrics) ObserveBlockFetch(time.Duration) {}
 
 // IsSegmentFile sniffs path's magic bytes. It reports false on any read
-// error — callers fall through to the GKS3/GKSI/gob loaders, which produce
+// error — callers fall through to the GKS3 loader, which produces
 // the proper error for a missing or unreadable file.
 func IsSegmentFile(path string) bool {
 	f, err := openFile(path)

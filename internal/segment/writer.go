@@ -24,12 +24,6 @@ type WriterOptions struct {
 	// NoCompression, is not useful here — pass flate.HuffmanOnly for the
 	// cheapest real mode.)
 	Level int
-	// FlatNodes stores the meta section's node table in the flat per-node
-	// v2 encoding instead of the packed (DAG-deduplicated) form. The packed
-	// form is the default: it opens into the memory-bounded packed index,
-	// which repetitive corpora shrink severalfold. Flat stays available for
-	// byte-compatibility with pre-packed tooling.
-	FlatNodes bool
 }
 
 func (o WriterOptions) withDefaults() WriterOptions {
@@ -63,16 +57,8 @@ func WriteFileOpts(path string, ix *index.Index, opts WriterOptions) error {
 func Write(w io.Writer, ix *index.Index, opts WriterOptions) error {
 	opts = opts.withDefaults()
 	ix = ix.Compacted()
-	if opts.FlatNodes {
-		ix = ix.Unpacked()
-	} else {
-		// Serve readers the DAG-compressed node table: shared subtrees are
-		// stored once and the segment's resident footprint shrinks with the
-		// corpus's repetition. Pack is a no-op on an already-packed source.
-		ix = ix.Pack()
-	}
 
-	// Meta section: labels, document names, node table — the v2 encoding,
+	// Meta section: labels, document names and the packed node table,
 	// stored raw (CRC-protected). It is decoded eagerly at every open, so
 	// burning boot time inflating it would cancel the format's fast-boot
 	// property; the posting blocks, which boot never touches, carry the

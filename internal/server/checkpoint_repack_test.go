@@ -19,7 +19,7 @@ import (
 func TestCheckpointRepack(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "live.gksidx")
-	sys := testSystem(t).Packed()
+	sys := testSystem(t)
 	if err := sys.SaveIndexFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +47,8 @@ func TestCheckpointRepack(t *testing.T) {
 			t.Fatalf("add %d: status %d: %s", i, code, body)
 		}
 	}
-	// Debt > 0 proves the upserts went through the delta path on a still-
-	// packed table (the legacy splice re-packs canonically, debt 0).
+	// Debt > 0 proves the upserts went through the delta path on the
+	// packed table (the full splice re-packs canonically, debt 0).
 	if debt := gks.PackDebt(h.Searcher()); debt == 0 {
 		t.Fatal("upserts on the packed base accrued no pack debt; delta path not engaged")
 	}

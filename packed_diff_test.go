@@ -10,31 +10,175 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/dewey"
 	"repro/internal/index"
+	"repro/internal/schema"
 	"repro/internal/xmltree"
 )
 
-// Differential tests for the packed (DAG-compressed) node table: a system
-// serving from the packed representation must be observationally identical
-// to the flat system it was packed from, across the entire read surface
-// and across mutation histories. The segment differential suite already
-// exercises the packed form implicitly (the GKS4 writer packs meta by
-// default); this file pins the property directly, without a file format in
-// between, so a future codec change cannot mask an accessor bug.
+// Differential tests for the packed (DAG-compressed) node table, the only
+// node table an index holds. Two oracles pin it. First, every per-ordinal
+// accessor is checked against the records the builder derives from the
+// document trees (treeRecords below, an independent re-derivation of the
+// §2.2 categorization included), at every corpus and mutation step.
+// Second, the read surface is diffed against a cold rebuild of the same
+// documents — built through the parallel builder's merge path when the
+// system under test came from the serial one. The segment differential
+// suite exercises the packed codec; this file pins the table itself,
+// without a file format in between, so a codec change cannot mask an
+// accessor bug.
 
-// packedPair builds a flat in-memory system from docs and a second system
-// serving the Pack()ed form of the same index.
-func packedPair(t *testing.T, docs ...*Document) (flat, packed *System) {
+// treeRecord is what the builder derives from one element of a document
+// tree.
+type treeRecord struct {
+	id       dewey.ID
+	label    string
+	cat      Category
+	children int32
+	subtree  int32
+	parent   int32
+	hasValue bool
+	value    string
+}
+
+// treeRecords derives the pre-order records of doc, numbering ordinals
+// from base.
+func treeRecords(doc *Document, base int32) []treeRecord {
+	var recs []treeRecord
+	var walk func(n *Node, isRep bool, parent int32) (qualAttr, repVis bool)
+	walk = func(n *Node, isRep bool, parent int32) (bool, bool) {
+		ord := int32(len(recs))
+		recs = append(recs, treeRecord{id: n.ID, label: n.Label, children: int32(len(n.Children)), parent: parent})
+		labels := map[string]int{}
+		for _, c := range n.Children {
+			if c.IsElement() {
+				labels[c.Label]++
+			} else {
+				recs[ord].hasValue = true
+			}
+		}
+		if recs[ord].hasValue {
+			recs[ord].value = n.Value()
+		}
+		var attr, rep, both int
+		for _, c := range n.Children {
+			if !c.IsElement() {
+				continue
+			}
+			switch qa, rv := walk(c, labels[c.Label] > 1, base+ord); {
+			case qa && rv:
+				both++
+			case qa:
+				attr++
+			case rv:
+				rep++
+			}
+		}
+		r := &recs[ord]
+		r.subtree = int32(len(recs)) - ord
+		// Defs 2.1.1–2.1.4.
+		switch {
+		case n.DirectlyContainsValue() && isRep:
+			r.cat = RepeatingNode
+		case n.DirectlyContainsValue():
+			r.cat = AttributeNode
+		default:
+			if isRep {
+				r.cat |= RepeatingNode
+			}
+			if both >= 2 || (both == 1 && attr+rep >= 1) || (attr >= 1 && rep >= 1) {
+				r.cat |= EntityNode
+			}
+			if r.cat == 0 {
+				r.cat = ConnectingNode
+			}
+		}
+		switch {
+		case r.cat&RepeatingNode != 0:
+			return false, true
+		case r.cat == AttributeNode:
+			return true, false
+		default:
+			return attr+both > 0, rep+both > 0
+		}
+	}
+	walk(doc.Root, false, -1)
+	return recs
+}
+
+// liveDocs returns sys's documents in Dewey (node-table) order.
+func liveDocs(sys *System) []*Document {
+	docs := append([]*Document(nil), sys.repo.Docs...)
+	sort.Slice(docs, func(i, j int) bool { return docs[i].DocID < docs[j].DocID })
+	return docs
+}
+
+// assertTableMatchesTree checks every accessor of every live ordinal of
+// sys's node table against the records derived from its document trees.
+// cats, when non-nil, overrides the derived categories (by ordinal).
+func assertTableMatchesTree(t *testing.T, sys *System, cats []Category) {
 	t.Helper()
-	flat, err := IndexDocuments(docs...)
+	ix := sys.ix
+	docs := liveDocs(sys)
+	spans := ix.LiveDocSpans()
+	if len(spans) != len(docs) {
+		t.Fatalf("%d live document spans, %d live documents", len(spans), len(docs))
+	}
+	for k, sp := range spans {
+		recs := treeRecords(docs[k], sp.Start)
+		if int32(len(recs)) != sp.End-sp.Start || sp.Name != docs[k].Name {
+			t.Fatalf("span %d (%s, %d nodes) does not hold document %s (%d nodes)",
+				k, sp.Name, sp.End-sp.Start, docs[k].Name, len(recs))
+		}
+		for i, r := range recs {
+			ord := sp.Start + int32(i)
+			want := r.cat
+			if cats != nil {
+				want = cats[ord]
+			}
+			switch {
+			case !dewey.Equal(ix.IDOf(ord), r.id) || ix.DocOf(ord) != r.id.Doc || ix.DepthOf(ord) != int32(r.id.Depth()):
+				t.Fatalf("ord %d: id %v doc %d depth %d, want %v", ord, ix.IDOf(ord), ix.DocOf(ord), ix.DepthOf(ord), r.id)
+			case ix.LabelOf(ord) != r.label:
+				t.Fatalf("ord %d: label %q, want %q", ord, ix.LabelOf(ord), r.label)
+			case ix.CatOf(ord) != want:
+				t.Fatalf("ord %d (%v): category %v, want %v", ord, r.id, ix.CatOf(ord), want)
+			case ix.ChildCountOf(ord) != r.children || ix.SubtreeSizeOf(ord) != r.subtree:
+				t.Fatalf("ord %d: children %d subtree %d, want %d %d", ord, ix.ChildCountOf(ord), ix.SubtreeSizeOf(ord), r.children, r.subtree)
+			case ix.ParentOf(ord) != r.parent:
+				t.Fatalf("ord %d: parent %d, want %d", ord, ix.ParentOf(ord), r.parent)
+			case ix.HasValueAt(ord) != r.hasValue || ix.ValueAt(ord) != r.value:
+				t.Fatalf("ord %d: value %v %q, want %v %q", ord, ix.HasValueAt(ord), ix.ValueAt(ord), r.hasValue, r.value)
+			}
+			if got, ok := ix.OrdinalOf(r.id); !ok || got != ord {
+				t.Fatalf("OrdinalOf(%v) = %d, %v; want %d", r.id, got, ok, ord)
+			}
+		}
+	}
+}
+
+// rebuild indexes docs (in Dewey order) from scratch with the given
+// number of builder workers (1 is the serial builder; more merge
+// per-document partials), keeping their document numbers.
+func rebuild(t *testing.T, docs []*Document, workers int) *System {
+	t.Helper()
+	repo := &xmltree.Repository{Docs: docs}
+	ix, err := index.BuildParallel(repo, index.DefaultOptions(), workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed = newSystem(flat.ix.Pack(), flat.repo)
-	if !packed.ix.IsPacked() {
-		t.Fatal("Pack() did not produce a packed index")
+	return newSystem(ix, repo)
+}
+
+// packedSystem indexes docs and checks the table against the trees.
+func packedSystem(t *testing.T, docs ...*Document) *System {
+	t.Helper()
+	sys, err := IndexDocuments(docs...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return flat, packed
+	assertTableMatchesTree(t, sys, nil)
+	return sys
 }
 
 // packedCorpora extends the segment corpora with a duplicate-heavy DBLP
@@ -72,82 +216,83 @@ func diffExplain(t *testing.T, a, b *System, query string, s int) {
 	ea, errA := a.Explain(query, s)
 	eb, errB := b.Explain(query, s)
 	if (errA == nil) != (errB == nil) {
-		t.Fatalf("Explain(%q,%d) error mismatch: flat=%v packed=%v", query, s, errA, errB)
+		t.Fatalf("Explain(%q,%d) error mismatch: %v vs %v", query, s, errA, errB)
 	}
 	if errA != nil {
 		if errA.Error() != errB.Error() {
-			t.Fatalf("Explain(%q,%d) error text: flat=%v packed=%v", query, s, errA, errB)
+			t.Fatalf("Explain(%q,%d) error text: %v vs %v", query, s, errA, errB)
 		}
 		return
 	}
 	if !reflect.DeepEqual(normExplain(ea), normExplain(eb)) {
-		t.Fatalf("Explain(%q,%d) differ:\nflat:   %+v\npacked: %+v", query, s, normExplain(ea), normExplain(eb))
+		t.Fatalf("Explain(%q,%d) differ:\n%+v\n%+v", query, s, normExplain(ea), normExplain(eb))
 	}
 }
 
 // diffAggregates compares every whole-index summary the System exposes.
-func diffAggregates(t *testing.T, flat, packed *System) {
+func diffAggregates(t *testing.T, want, got *System) {
 	t.Helper()
-	if !reflect.DeepEqual(flat.Stats(), packed.Stats()) {
-		t.Fatalf("Stats differ:\nflat:   %+v\npacked: %+v", flat.Stats(), packed.Stats())
+	if !reflect.DeepEqual(want.Stats(), got.Stats()) {
+		t.Fatalf("Stats differ:\nwant: %+v\ngot:  %+v", want.Stats(), got.Stats())
 	}
-	if se, sp := flat.Schema(), packed.Schema(); !reflect.DeepEqual(se, sp) {
-		t.Fatalf("Schema differ: flat=%v packed=%v", se, sp)
+	if sw, sg := want.Schema(), got.Schema(); !reflect.DeepEqual(sw, sg) {
+		t.Fatalf("Schema differ: want=%v got=%v", sw, sg)
 	}
-	if ke, kp := flat.TopKeywords(10), packed.TopKeywords(10); !reflect.DeepEqual(ke, kp) {
-		t.Fatalf("TopKeywords differ: flat=%v packed=%v", ke, kp)
+	if kw, kg := want.TopKeywords(10), got.TopKeywords(10); !reflect.DeepEqual(kw, kg) {
+		t.Fatalf("TopKeywords differ: want=%v got=%v", kw, kg)
 	}
-	if le, lp := flat.LabelHistogram(), packed.LabelHistogram(); !reflect.DeepEqual(le, lp) {
-		t.Fatalf("LabelHistogram differ: flat=%v packed=%v", le, lp)
+	if lw, lg := want.LabelHistogram(), got.LabelHistogram(); !reflect.DeepEqual(lw, lg) {
+		t.Fatalf("LabelHistogram differ: want=%v got=%v", lw, lg)
 	}
-	if de, dp := flat.DepthHistogram(), packed.DepthHistogram(); !reflect.DeepEqual(de, dp) {
-		t.Fatalf("DepthHistogram differ: flat=%v packed=%v", de, dp)
+	if dw, dg := want.DepthHistogram(), got.DepthHistogram(); !reflect.DeepEqual(dw, dg) {
+		t.Fatalf("DepthHistogram differ: want=%v got=%v", dw, dg)
 	}
-	if ve, vp := flat.ValidateIndex(), packed.ValidateIndex(); ve != nil || vp != nil {
-		t.Fatalf("ValidateIndex: flat=%v packed=%v", ve, vp)
+	if vw, vg := want.ValidateIndex(), got.ValidateIndex(); vw != nil || vg != nil {
+		t.Fatalf("ValidateIndex: want=%v got=%v", vw, vg)
 	}
 }
 
 // TestPackedDifferentialSearch is the central packed-node-table property
-// test: over randomized corpora (including a duplicate-heavy one) and
-// seeded random queries, the packed system answers the entire read surface
-// — search, top-k, best effort, insights, refinements, explain, SLCA,
-// ELCA, schema and every histogram — identically to the flat system.
+// test: over randomized corpora (including a duplicate-heavy one) the
+// table matches the document trees, and over seeded random queries the
+// system answers the entire read surface — search, top-k, best effort,
+// insights, refinements, explain, SLCA, ELCA, schema and every histogram
+// — identically to a cold rebuild through the parallel builder.
 func TestPackedDifferentialSearch(t *testing.T) {
 	for name, docs := range packedCorpora(t) {
 		t.Run(name, func(t *testing.T) {
-			flat, packed := packedPair(t, docs...)
-			diffAggregates(t, flat, packed)
+			sys := packedSystem(t, docs...)
+			cold := rebuild(t, liveDocs(sys), 4)
+			diffAggregates(t, cold, sys)
 
-			kws := vocab(flat)
+			kws := vocab(cold)
 			rng := rand.New(rand.NewSource(77))
 			for i, query := range randomQueries(rng, kws, 40) {
 				s := 1 + rng.Intn(3)
-				diffSearchSurface(t, flat, packed, query, s)
+				diffSearchSurface(t, cold, sys, query, s)
 				if i%5 == 0 {
-					diffExplain(t, flat, packed, query, s)
+					diffExplain(t, cold, sys, query, s)
 				}
 			}
 			for i := 0; i < 5; i++ {
 				kw := kws[rng.Intn(len(kws))] + "x"
-				if se, sp := flat.Suggest(kw, 2, 3), packed.Suggest(kw, 2, 3); !reflect.DeepEqual(se, sp) {
-					t.Fatalf("Suggest(%q) differ: flat=%v packed=%v", kw, se, sp)
+				if se, sp := cold.Suggest(kw, 2, 3), sys.Suggest(kw, 2, 3); !reflect.DeepEqual(se, sp) {
+					t.Fatalf("Suggest(%q) differ: cold=%v packed=%v", kw, se, sp)
 				}
 			}
 
-			// Schema-driven recategorization mutates categories in place;
-			// the packed system must apply it through unpack/repack and
-			// stay packed — and stay identical to the flat system after.
-			ce, cp := flat.ApplySchemaCategorization(), packed.ApplySchemaCategorization()
+			// Schema-driven recategorization rebuilds the packed table with
+			// the new categories; every other field must survive it, and
+			// both systems must stay identical after.
+			cats := schema.Infer(sys.ix).Categorize(sys.ix)
+			ce, cp := cold.ApplySchemaCategorization(), sys.ApplySchemaCategorization()
 			if ce != cp {
-				t.Fatalf("ApplySchemaCategorization: flat recategorized %d, packed %d", ce, cp)
+				t.Fatalf("ApplySchemaCategorization: cold recategorized %d, packed %d", ce, cp)
 			}
-			if !packed.ix.IsPacked() {
-				t.Fatal("ApplySchemaCategorization lost the packed representation")
-			}
-			diffAggregates(t, flat, packed)
+			assertTableMatchesTree(t, sys, cats)
+			diffAggregates(t, cold, sys)
 			for _, query := range randomQueries(rng, kws, 10) {
-				diffSearchSurface(t, flat, packed, query, 2)
+				diffSearchSurface(t, cold, sys, query, 2)
 			}
 		})
 	}
@@ -169,10 +314,10 @@ func bagDoc(name string, rng *rand.Rand, words []string) *Document {
 
 // TestPackedMutationHistoryDifferential drives random mutation histories
 // (add, replace, delete) against a packed system and pins two properties:
-// every mutation preserves the packed representation, and the compacted
-// survivor — Compacted() over whatever tombstones and appends accumulated
-// — answers the full search surface identically to a cold rebuild from the
-// surviving documents.
+// after every mutation the live table matches the document trees, and the
+// compacted survivor — Compacted() over whatever tombstones and appends
+// accumulated — answers the full search surface identically to a cold
+// rebuild from the surviving documents.
 func TestPackedMutationHistoryDifferential(t *testing.T) {
 	words := []string{
 		"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -188,7 +333,7 @@ func TestPackedMutationHistoryDifferential(t *testing.T) {
 				docs = append(docs, bagDoc(name, rng, words))
 				names = append(names, name)
 			}
-			_, sys := packedPair(t, docs...)
+			sys := packedSystem(t, docs...)
 			nextName := len(names)
 
 			for step := 0; step < 30; step++ {
@@ -222,25 +367,14 @@ func TestPackedMutationHistoryDifferential(t *testing.T) {
 					sys = next.(*System)
 					names = append(names[:i], names[i+1:]...)
 				}
-				if !sys.ix.IsPacked() {
-					t.Fatalf("step %d: mutation lost the packed representation", step)
-				}
+				assertTableMatchesTree(t, sys, nil)
 			}
 
 			comp := newSystem(sys.ix.Compacted(), sys.repo)
-			if !comp.ix.IsPacked() {
-				t.Fatal("Compacted() over a packed index is not packed")
-			}
+			assertTableMatchesTree(t, comp, nil)
 			// Cold rebuild from the survivors with their document ids
-			// preserved (Repository.Add would renumber); Build requires
-			// Dewey document order.
-			sorted := append([]*Document(nil), sys.repo.Docs...)
-			sort.Slice(sorted, func(i, j int) bool { return sorted[i].DocID < sorted[j].DocID })
-			coldIx, err := index.Build(&xmltree.Repository{Docs: sorted}, index.DefaultOptions())
-			if err != nil {
-				t.Fatalf("cold rebuild: %v", err)
-			}
-			cold := newSystem(coldIx, &xmltree.Repository{Docs: sorted})
+			// preserved (Repository.Add would renumber).
+			cold := rebuild(t, liveDocs(sys), 1)
 
 			diffAggregates(t, cold, comp)
 			kws := vocab(cold)
@@ -256,16 +390,15 @@ func TestPackedMutationHistoryDifferential(t *testing.T) {
 }
 
 // TestPackedDeltaAppendEquivalence is the differential oracle for the
-// delta-maintaining pack: the same random append/replace/delete history
-// is driven through the fast path (AppendAs, which extends the pack
-// incrementally) and through AppendAsFullRepack (the pre-delta
-// flatten-splice-repack), with identical document numbering on both
-// sides. At every checkpoint the two must hold the same logical state —
+// delta-maintaining pack: a random append/replace/delete history is driven
+// through AppendAs, which extends the pack incrementally. After every step
+// the live table must match the document trees; at checkpoints the index
+// must hold the same logical state as a cold rebuild of the survivors —
 // statistics, document sets, doc-insensitive results — and after a final
-// Compacted() the fast side's flat node table and postings must be
-// byte-for-byte the slow side's. Mid-history the fast side crosses the
-// repack threshold and pays its debt via Repacked(), so the equivalence
-// also covers resuming delta appends on a repacked table.
+// Compacted() its node table and postings must equal the cold rebuild's.
+// Mid-history the index crosses the repack threshold and pays its debt
+// via Repacked(), so the equivalence also covers resuming delta appends on
+// a repacked table.
 func TestPackedDeltaAppendEquivalence(t *testing.T) {
 	words := []string{
 		"alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf",
@@ -275,44 +408,41 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(500 + trial)))
+			live := map[string]*Document{} // survivors by name, numbered in place by AppendAs
 			var docs []*Document
 			for i := 0; i < 4; i++ {
-				docs = append(docs, bagDoc(fmt.Sprintf("d%d", i), rng, words))
+				d := bagDoc(fmt.Sprintf("d%d", i), rng, words)
+				docs = append(docs, d)
+				live[d.Name] = d
 			}
-			_, fastSys := packedPair(t, docs...)
-			fast := fastSys.ix
-			slow := fast // same starting generation
+			ix := packedSystem(t, docs...).ix
 			names := []string{"d0", "d1", "d2", "d3"}
 			nextName := len(names)
 			repacked := false
-
-			appendBoth := func(doc *Document) {
-				t.Helper()
-				fid, sid := fast.NextDocID(), slow.NextDocID()
-				if fid != sid {
-					t.Fatalf("doc numbering diverged: fast %d, slow %d", fid, sid)
+			current := func() *System {
+				repo := &xmltree.Repository{}
+				for _, d := range live {
+					repo.Docs = append(repo.Docs, d)
 				}
-				f, err := index.AppendAs(fast, doc, fid, index.DefaultOptions())
-				if err != nil {
-					t.Fatalf("fast append %s: %v", doc.Name, err)
-				}
-				s, err := index.AppendAsFullRepack(slow, doc, sid, index.DefaultOptions())
-				if err != nil {
-					t.Fatalf("slow append %s: %v", doc.Name, err)
-				}
-				fast, slow = f, s
+				return newSystem(ix, repo)
 			}
-			deleteBoth := func(name string) {
+
+			appendDoc := func(doc *Document) {
 				t.Helper()
-				f, err := fast.DeleteDoc(name)
+				next, err := index.AppendAs(ix, doc, ix.NextDocID(), index.DefaultOptions())
 				if err != nil {
-					t.Fatalf("fast delete %s: %v", name, err)
+					t.Fatalf("append %s: %v", doc.Name, err)
 				}
-				s, err := slow.DeleteDoc(name)
+				ix, live[doc.Name] = next, doc
+			}
+			deleteDoc := func(name string) {
+				t.Helper()
+				next, err := ix.DeleteDoc(name)
 				if err != nil {
-					t.Fatalf("slow delete %s: %v", name, err)
+					t.Fatalf("delete %s: %v", name, err)
 				}
-				fast, slow = f, s
+				ix = next
+				delete(live, name)
 			}
 
 			for step := 0; step < 24; step++ {
@@ -320,41 +450,39 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 				case 0:
 					name := fmt.Sprintf("d%d", nextName)
 					nextName++
-					doc := bagDoc(name, rng, words)
-					appendBoth(doc)
+					appendDoc(bagDoc(name, rng, words))
 					names = append(names, name)
 				case 1:
 					name := names[rng.Intn(len(names))]
-					deleteBoth(name)
-					appendBoth(bagDoc(name, rng, words))
+					deleteDoc(name)
+					appendDoc(bagDoc(name, rng, words))
 				default:
 					if len(names) <= 2 {
 						continue
 					}
 					i := rng.Intn(len(names))
-					deleteBoth(names[i])
+					deleteDoc(names[i])
 					names = append(names[:i], names[i+1:]...)
 				}
-				if !fast.IsPacked() {
-					t.Fatalf("step %d: fast side lost the packed representation", step)
+				if err := ix.Validate(); err != nil {
+					t.Fatalf("step %d: validate: %v", step, err)
 				}
-				if err := fast.Validate(); err != nil {
-					t.Fatalf("step %d: fast validate: %v", step, err)
-				}
-				if debt := fast.PackDebt(); !repacked && debt >= 0.5 {
+				assertTableMatchesTree(t, current(), nil)
+				if debt := ix.PackDebt(); !repacked && debt >= 0.5 {
 					before := index.PackCount()
-					fast = fast.Repacked()
+					ix = ix.Repacked()
 					if index.PackCount() == before {
 						t.Fatalf("step %d: Repacked() at debt %.2f did not repack", step, debt)
 					}
-					if d := fast.PackDebt(); d != 0 {
+					if d := ix.PackDebt(); d != 0 {
 						t.Fatalf("step %d: debt %.2f survives Repacked()", step, d)
 					}
 					repacked = true
 				}
 				if step%6 == 5 {
+					sys := current()
 					assertStateEqual(t, fmt.Sprintf("trial %d step %d", trial, step),
-						newSystem(slow, nil), newSystem(fast, nil), queries)
+						rebuild(t, liveDocs(sys), 1), sys, queries)
 				}
 			}
 			if !repacked {
@@ -364,15 +492,19 @@ func TestPackedDeltaAppendEquivalence(t *testing.T) {
 				t.Error("history never crossed the repack threshold")
 			}
 
-			fc, sc := fast.Compacted().Unpacked(), slow.Compacted().Unpacked()
-			if !reflect.DeepEqual(fc.Nodes, sc.Nodes) {
-				t.Fatal("compacted node tables diverge between delta and full-repack histories")
+			comp := newSystem(ix.Compacted(), current().repo)
+			cold := rebuild(t, liveDocs(comp), 1)
+			assertTableMatchesTree(t, comp, nil)
+			for ord := range int32(cold.ix.NodeCount()) {
+				if a, b := comp.ix.CatOf(ord), cold.ix.CatOf(ord); a != b {
+					t.Fatalf("compacted ord %d: category %v, cold rebuild %v", ord, a, b)
+				}
 			}
-			if !reflect.DeepEqual(fc.Postings, sc.Postings) {
-				t.Fatal("compacted postings diverge between delta and full-repack histories")
+			if !reflect.DeepEqual(comp.ix.Postings, cold.ix.Postings) {
+				t.Fatal("compacted postings diverge from the cold rebuild")
 			}
-			if !reflect.DeepEqual(fc.DocNames, sc.DocNames) {
-				t.Fatalf("compacted doc names diverge: fast=%v slow=%v", fc.DocNames, sc.DocNames)
+			if !reflect.DeepEqual(comp.ix.DocNames, cold.ix.DocNames) {
+				t.Fatalf("compacted doc names diverge: got %v, cold %v", comp.ix.DocNames, cold.ix.DocNames)
 			}
 		})
 	}
@@ -392,7 +524,7 @@ func TestPackedDeltaAppendConcurrentSearch(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		docs = append(docs, bagDoc(fmt.Sprintf("d%d", i), rng, words))
 	}
-	_, packed := packedPair(t, docs...)
+	packed := packedSystem(t, docs...)
 
 	queries := randomQueries(rng, vocab(packed), 12)
 	want := make([]Response, len(queries))
@@ -441,10 +573,6 @@ func TestPackedDeltaAppendConcurrentSearch(t *testing.T) {
 			break
 		}
 		sys = next
-		if !sys.ix.IsPacked() {
-			t.Error("writer append lost the packed representation")
-			break
-		}
 	}
 	close(stop)
 	wg.Wait()
@@ -455,12 +583,16 @@ func TestPackedDeltaAppendConcurrentSearch(t *testing.T) {
 	if err := sys.ValidateIndex(); err != nil {
 		t.Fatalf("final generation invalid: %v", err)
 	}
+	if sys.ix.PackDebt() == 0 {
+		t.Fatal("writer appends did not take the delta path")
+	}
+	assertTableMatchesTree(t, sys, nil)
 }
 
 // TestPackedSearchConcurrent hammers one packed system from many
 // goroutines (run under -race by make dag-smoke): packed serving is
-// read-only and must be race-free, and every response must still match the
-// flat oracle.
+// read-only and must be race-free, and every response must still match a
+// cold rebuild's.
 func TestPackedSearchConcurrent(t *testing.T) {
 	docs := []*Document{
 		datagen.DBLP(datagen.BibConfig{
@@ -469,9 +601,10 @@ func TestPackedSearchConcurrent(t *testing.T) {
 		}),
 		datagen.Mondial(datagen.Config{Seed: 8, Scale: 1}),
 	}
-	flat, packed := packedPair(t, docs...)
+	packed := packedSystem(t, docs...)
+	cold := rebuild(t, liveDocs(packed), 4)
 
-	kws := vocab(flat)
+	kws := vocab(cold)
 	rng := rand.New(rand.NewSource(55))
 	queries := randomQueries(rng, kws, 24)
 	type oracle struct {
@@ -480,7 +613,7 @@ func TestPackedSearchConcurrent(t *testing.T) {
 	}
 	want := make([]oracle, len(queries))
 	for i, q := range queries {
-		r, err := flat.Search(q, 2)
+		r, err := cold.Search(q, 2)
 		if err != nil {
 			want[i] = oracle{err: err.Error()}
 			continue

@@ -9,7 +9,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/index"
 	"repro/internal/wal"
@@ -330,20 +332,16 @@ func TestWALReplayEqualsColdRebuild(t *testing.T) {
 // collapse: replaying a K-record WAL tail onto a packed snapshot used to
 // unpack and re-pack the whole node table once per upsert (O(N·K) boot
 // cost). The batch path must re-pack at most once regardless of K, and
-// still recover exactly the cold-rebuild state, packed.
+// still recover exactly the cold-rebuild state.
 func TestWALReplayPacksOnce(t *testing.T) {
 	dir := t.TempDir()
-	flat, err := IndexDocuments(
+	sys, err := IndexDocuments(
 		ingestDoc(t, "a.xml", "apple", "pear"),
 		ingestDoc(t, "b.xml", "pear", "plum"),
 		ingestDoc(t, "c.xml", "plum", "fig"),
 	)
 	if err != nil {
 		t.Fatal(err)
-	}
-	sys := newSystem(flat.ix.Pack(), flat.repo)
-	if !sys.ix.IsPacked() {
-		t.Fatal("base system did not pack")
 	}
 
 	l, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{NoSync: true})
@@ -406,9 +404,6 @@ func TestWALReplayPacksOnce(t *testing.T) {
 		t.Fatal("replay applied nothing")
 	}
 	rs := recovered.(*System)
-	if !rs.ix.IsPacked() {
-		t.Error("recovered system lost its packed representation")
-	}
 	if err := rs.ValidateIndex(); err != nil {
 		t.Fatal(err)
 	}
@@ -515,4 +510,58 @@ func TestWALReplayShardedSmoke(t *testing.T) {
 	queries := []string{"apple", "pear", "plum", "quince", "mango", "cherry", "plum fig"}
 	assertStateEqual(t, "sharded", ref, recovered, queries)
 	assertStateEqual(t, "sharded live", ref, sys, queries)
+}
+
+// fetchCounter counts posting-block lookups of a segment reader.
+type fetchCounter struct{ hits, misses atomic.Int64 }
+
+func (c *fetchCounter) BlockCacheHit()                  { c.hits.Add(1) }
+func (c *fetchCounter) BlockCacheMiss()                 { c.misses.Add(1) }
+func (c *fetchCounter) BlockCacheEvict()                {}
+func (c *fetchCounter) SetBlockCacheBytes(int64)        {}
+func (c *fetchCounter) ObserveBlockFetch(time.Duration) {}
+
+// TestWALReplayEmptyLogKeepsSegment is the regression test for the boot
+// that turned eager: replaying an empty log onto a GKS4 system used to run
+// a no-op batch append that materialized every posting block and dropped
+// the segment reader. It must return the system itself, still lazy and
+// still owning its segment, without touching a single block.
+func TestWALReplayEmptyLogKeepsSegment(t *testing.T) {
+	dir := t.TempDir()
+	built, err := IndexDocuments(
+		ingestDoc(t, "a.xml", "apple", "pear"),
+		ingestDoc(t, "b.xml", "pear", "plum"),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "idx.gks4")
+	if err := built.SaveSegmentFile(path); err != nil {
+		t.Fatal(err)
+	}
+	counter := &fetchCounter{}
+	sys, err := LoadIndexFileOpts(path, SegmentOptions{Metrics: counter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.CloseIndex()
+
+	l, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	recovered, applied, err := ReplayWAL(sys, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recovered != Searcher(sys) || applied != 0 {
+		t.Fatalf("empty log: got a new system (applied %d), want the loaded one back", applied)
+	}
+	if sys.Segment() == nil || !sys.ix.IsLazy() {
+		t.Fatal("empty-log replay detached the segment")
+	}
+	if h, m := counter.hits.Load(), counter.misses.Load(); h+m != 0 {
+		t.Fatalf("empty-log replay fetched posting blocks: %d hits, %d misses", h, m)
+	}
 }

@@ -37,13 +37,10 @@ import (
 //
 // A single-index system replays the whole collapsed tail as one batch:
 // every replaced or deleted document tombstones first, then all upserts
-// splice in through a single index.AppendBatch merge, so a packed
-// snapshot re-packs at most once no matter how many records survived.
-// The per-record path below it used to pay a full unpack/repack cycle
-// per upsert — O(snapshot × records) boot cost, the same write collapse
-// the delta pack fixes for live ingestion. Sharded systems still replay
-// record by record (each record touches one shard, there is no shared
-// table to amortize).
+// splice in through a single index.AppendBatch merge, so the node table
+// re-packs at most once no matter how many records survived. Sharded
+// systems replay record by record (each record touches one shard, there
+// is no shared table to amortize). An empty log returns sys itself.
 //
 // Damage in the log (ErrCorrupt) or an unparsable logged document fails
 // the whole recovery: serving a partial history would silently drop
@@ -67,6 +64,11 @@ func ReplayWAL(sys Searcher, l *wal.Log) (Searcher, int, error) {
 	})
 	if err != nil {
 		return nil, 0, fmt.Errorf("gks: wal replay: %w", err)
+	}
+	if len(order) == 0 {
+		// Nothing to apply: sys keeps serving as loaded — a segment-backed
+		// system stays lazy and keeps its segment.
+		return sys, 0, nil
 	}
 	// Parse every surviving document before touching sys: an unparsable
 	// record fails recovery without a partially-mutated result to discard.
@@ -116,14 +118,13 @@ func ReplayWAL(sys Searcher, l *wal.Log) (Searcher, int, error) {
 
 // replayBatch applies a collapsed WAL tail (disjoint final upserts and
 // final deletes) to a single-index system in one splice. Replaced and
-// deleted documents tombstone against the shared base — no unpack, no
-// copy — and the upserts then merge through one AppendBatch call, which
-// flattens the base once and re-packs a packed base exactly once. The
-// applied count matches per-record replay: every upsert counts, a delete
-// counts only when the document existed.
+// deleted documents tombstone against the shared base — no copy — and the
+// upserts then merge through one AppendBatch call, which flattens the base
+// once and packs exactly once. The applied count matches per-record
+// replay: every upsert counts, a delete counts only when the document
+// existed. A tail that changes nothing returns s itself.
 func (s *System) replayBatch(upserts []*Document, deletes []string) (*System, int, error) {
 	opts := index.DefaultOptions()
-	wasPacked := s.ix.IsPacked()
 	work := s.ix
 	applied := len(upserts)
 	freshRebuild := false
@@ -172,22 +173,20 @@ func (s *System) replayBatch(upserts []*Document, deletes []string) (*System, in
 	var next *index.Index
 	var err error
 	if freshRebuild {
-		next, err = index.BuildDocumentAs(upserts[0], 0, opts)
-		if err != nil {
-			return nil, 0, fmt.Errorf("gks: wal replay: upsert %q: %w", upserts[0].Name, err)
+		// The upserts, numbered from 0 in order, are the whole corpus.
+		fresh := &xmltree.Repository{}
+		for _, d := range upserts {
+			fresh.Add(d)
 		}
-		next, err = index.AppendBatch(next, upserts[1:], opts)
-		if err != nil {
-			return nil, 0, fmt.Errorf("gks: wal replay: %w", err)
-		}
-		if wasPacked {
-			next = next.Pack()
-		}
+		next, err = index.Build(fresh, opts)
 	} else {
 		next, err = index.AppendBatch(work, upserts, opts)
-		if err != nil {
-			return nil, 0, fmt.Errorf("gks: wal replay: %w", err)
-		}
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("gks: wal replay: %w", err)
+	}
+	if next == s.ix {
+		return s, applied, nil
 	}
 
 	repo := s.repo
