@@ -390,9 +390,10 @@ func (s *System) SearchBestEffort(query string) (*Response, error) {
 	return s.engine.SearchBestEffort(ParseQuery(query))
 }
 
-// SearchTopK returns the k highest-ranked response nodes, pruning
-// candidates whose rank upper bound (their distinct-keyword count) cannot
-// reach the top k.
+// SearchTopK returns the k highest-ranked response nodes: exactly the
+// first k results of Search. Every survivor is scored — a rank can reach
+// P|e² (the squared distinct-keyword count), so no keyword-count bound
+// prunes soundly — but only the best k are ordered and built.
 func (s *System) SearchTopK(query string, threshold, k int) (*Response, error) {
 	return s.engine.SearchTopK(ParseQuery(query), threshold, k)
 }

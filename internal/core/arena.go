@@ -40,6 +40,8 @@ type queryArena struct {
 	maskStack []maskOpen
 	// witStack is the pending-candidate stack of the witness filter.
 	witStack []*candidate
+	// recs holds the scored survivors the rank stage orders.
+	recs []record
 }
 
 // acquireArena returns a pooled arena, growing a fresh one on a cold pool.
@@ -72,5 +74,6 @@ func (e *Engine) releaseArena(a *queryArena) {
 	a.ptrs = a.ptrs[:0]
 	a.maskStack = a.maskStack[:0]
 	a.witStack = a.witStack[:0]
+	a.recs = a.recs[:0]
 	e.arenas.Put(a)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/index"
@@ -117,4 +118,37 @@ func (e *Engine) SearchBaseline(q Query, s int) (*Response, error) {
 	}
 	sortResults(resp.Results)
 	return resp, nil
+}
+
+// rankCandidate scores one surviving candidate (§5) and builds its Result;
+// the baseline's copy of the rank step, allocating one ID per result.
+func (e *Engine) rankCandidate(c *candidate, sl []merge.Entry) Result {
+	start, end := e.ix.SubtreeRange(c.ord)
+	lo, hi := merge.OrdRange(sl, start, end)
+	return Result{
+		Ord:          c.ord,
+		ID:           e.ix.IDOf(c.ord),
+		Label:        e.ix.LabelOf(c.ord),
+		IsEntity:     c.isEntity,
+		Mask:         c.mask,
+		KeywordCount: bits.OnesCount64(c.mask),
+		LCPCount:     c.lcp,
+		Rank:         e.scorer.Score(c.ord, c.mask, sl[lo:hi]),
+	}
+}
+
+// sortResults orders results by rank, keyword count, then document order
+// with a stable sort over full Results — the baseline's copy of the order
+// compareRecords implements on compact records.
+func sortResults(results []Result) {
+	sort.SliceStable(results, func(i, j int) bool {
+		a, b := results[i], results[j]
+		if a.Rank != b.Rank {
+			return a.Rank > b.Rank
+		}
+		if a.KeywordCount != b.KeywordCount {
+			return a.KeywordCount > b.KeywordCount
+		}
+		return a.Ord < b.Ord
+	})
 }

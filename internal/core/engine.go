@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -138,22 +138,30 @@ func (e *Engine) Search(q Query, s int) (*Response, error) {
 // next checkpoint instead of completing a doomed search on a detached
 // goroutine. A cancelled search returns ctx.Err() and no response.
 func (e *Engine) SearchCtx(ctx context.Context, q Query, s int) (*Response, error) {
+	return e.search(ctx, q, s, 0)
+}
+
+// search runs the pipeline and ranks its survivors (§5) in three steps:
+// score every survivor into a compact record, order the records (all of
+// them, or only the best k when 0 < k < survivors), then materialize the
+// kept records into Results. Stages.Rank covers all three.
+func (e *Engine) search(ctx context.Context, q Query, s, k int) (*Response, error) {
 	resp, cands, a, err := e.collectCandidates(ctx, q, s)
 	if err != nil || len(cands) == 0 {
 		return resp, err
 	}
 	defer e.releaseArena(a)
-	// Rank every survivor with the potential-flow model and order the
-	// response (§5).
 	start := time.Now()
-	resp.Results = make([]Result, 0, len(cands))
-	for i, c := range cands {
-		if i&rankCheckMask == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		resp.Results = append(resp.Results, e.rankCandidate(c, a.sl))
+	recs, err := e.scoreSurvivors(ctx, cands, a)
+	if err != nil {
+		return nil, err
 	}
-	sortResults(resp.Results)
+	if k > 0 && k < len(recs) {
+		recs = topRecords(recs, k)
+	} else {
+		slices.SortFunc(recs, compareRecords)
+	}
+	resp.Results = e.materialize(recs, cands)
 	resp.Stages.Rank = time.Since(start)
 	return resp, nil
 }
@@ -405,34 +413,119 @@ func computeMasks(ix *index.Index, cands []*candidate, sl []merge.Entry, scratch
 	return stack
 }
 
-// rankCandidate scores one surviving candidate (§5) and builds its Result.
-func (e *Engine) rankCandidate(c *candidate, sl []merge.Entry) Result {
-	start, end := e.ix.SubtreeRange(c.ord)
-	lo, hi := merge.OrdRange(sl, start, end)
-	return Result{
-		Ord:          c.ord,
-		ID:           e.ix.IDOf(c.ord),
-		Label:        e.ix.LabelOf(c.ord),
-		IsEntity:     c.isEntity,
-		Mask:         c.mask,
-		KeywordCount: bits.OnesCount64(c.mask),
-		LCPCount:     c.lcp,
-		Rank:         e.scorer.Score(c.ord, c.mask, sl[lo:hi]),
+// record is one scored survivor: the compact form the rank stage orders,
+// so sorting moves 24-byte records instead of full Results.
+type record struct {
+	rank float64
+	ord  int32
+	// kw is the distinct keyword count P|e (popcount of the mask).
+	kw int32
+	// cand indexes the survivor slice the record was scored from.
+	cand int32
+}
+
+// compareRecords is the response order: rank descending, then keyword
+// count descending, then document order. Ordinals are unique within an
+// index, so the order is total and needs no stable sort.
+func compareRecords(x, y record) int {
+	if x.rank != y.rank {
+		if x.rank > y.rank {
+			return -1
+		}
+		return 1
+	}
+	if x.kw != y.kw {
+		return cmp.Compare(y.kw, x.kw)
+	}
+	return cmp.Compare(x.ord, y.ord)
+}
+
+// scoreSurvivors ranks every survivor with the potential-flow model (§5)
+// into the arena's record buffer. Each score reads only the S_L entries
+// inside the survivor's subtree.
+func (e *Engine) scoreSurvivors(ctx context.Context, cands []*candidate, a *queryArena) ([]record, error) {
+	recs := a.recs
+	for i, c := range cands {
+		if i&rankCheckMask == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		start, end := e.ix.SubtreeRange(c.ord)
+		lo, hi := merge.OrdRange(a.sl, start, end)
+		recs = append(recs, record{
+			rank: e.scorer.Score(c.ord, c.mask, a.sl[lo:hi]),
+			ord:  c.ord,
+			kw:   int32(bits.OnesCount64(c.mask)),
+			cand: int32(i),
+		})
+	}
+	a.recs = recs
+	return recs, nil
+}
+
+// topRecords moves the k best records (0 < k < len(recs)) into recs[:k],
+// in response order, and returns that prefix. A bounded heap whose root is
+// the worst kept record admits a later record only if it beats the root:
+// O(n log k) against the full sort's O(n log n).
+func topRecords(recs []record, k int) []record {
+	h := recs[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDownWorst(h, i)
+	}
+	for _, r := range recs[k:] {
+		if compareRecords(r, h[0]) < 0 {
+			h[0] = r
+			siftDownWorst(h, 0)
+		}
+	}
+	slices.SortFunc(h, compareRecords)
+	return h
+}
+
+// siftDownWorst restores the worst-at-root heap invariant below h[i].
+func siftDownWorst(h []record, i int) {
+	for {
+		worst := i
+		if l := 2*i + 1; l < len(h) && compareRecords(h[l], h[worst]) > 0 {
+			worst = l
+		}
+		if r := 2*i + 2; r < len(h) && compareRecords(h[r], h[worst]) > 0 {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
 	}
 }
 
-// sortResults orders results by rank, keyword count, then document order.
-func sortResults(results []Result) {
-	sort.SliceStable(results, func(i, j int) bool {
-		a, b := results[i], results[j]
-		if a.Rank != b.Rank {
-			return a.Rank > b.Rank
+// materialize builds the Results of the ordered records in one pass. Every
+// Dewey path is cut from one int32 buffer sized from the node depths, with
+// a full-slice expression so an append to one result's path reallocates
+// instead of overwriting the next result's.
+func (e *Engine) materialize(recs []record, cands []*candidate) []Result {
+	n := 0
+	for _, r := range recs {
+		n += int(e.ix.DepthOf(r.ord)) + 1
+	}
+	paths := make([]int32, 0, n)
+	out := make([]Result, len(recs))
+	for i, r := range recs {
+		c := cands[r.cand]
+		from := len(paths)
+		paths = e.ix.AppendPathOf(paths, r.ord)
+		out[i] = Result{
+			Ord:          r.ord,
+			ID:           dewey.ID{Doc: e.ix.DocOf(r.ord), Path: paths[from:len(paths):len(paths)]},
+			Label:        e.ix.LabelOf(r.ord),
+			IsEntity:     c.isEntity,
+			Mask:         c.mask,
+			KeywordCount: int(r.kw),
+			LCPCount:     c.lcp,
+			Rank:         r.rank,
 		}
-		if a.KeywordCount != b.KeywordCount {
-			return a.KeywordCount > b.KeywordCount
-		}
-		return a.Ord < b.Ord
-	})
+	}
+	return out
 }
 
 // ResultBefore reports whether a precedes b in response order: rank
@@ -441,7 +534,7 @@ func sortResults(results []Result) {
 // well defined across results drawn from different index shards — within a
 // single index the two orders coincide because pre-order ordinals equal
 // Dewey order. The sharded scatter-gather merge uses it to interleave
-// per-shard ranked lists into exactly the order sortResults produces on
+// per-shard ranked lists into exactly the order compareRecords produces on
 // the equivalent single index.
 func ResultBefore(a, b Result) bool {
 	if a.Rank != b.Rank {

@@ -110,11 +110,11 @@ func (e *Engine) ExplainCtx(ctx context.Context, q Query, s int) (*Explanation, 
 		return nil, err
 	}
 
-	resp, cands, arena, err := e.collectCandidates(ctx, q, s)
+	resp, err := e.SearchCtx(ctx, q, s)
 	if err != nil {
 		return nil, err
 	}
-	ex.Survivors = len(cands)
+	ex.Survivors = len(resp.Results)
 	// Candidate statistics require the pre-filter view; recompute cheaply
 	// from the LCP set.
 	seen := map[int32]bool{}
@@ -142,16 +142,6 @@ func (e *Engine) ExplainCtx(ctx context.Context, q Query, s int) (*Explanation, 
 		}
 	}
 
-	if len(cands) > 0 {
-		start := time.Now()
-		resp.Results = make([]Result, 0, len(cands))
-		for _, c := range cands {
-			resp.Results = append(resp.Results, e.rankCandidate(c, arena.sl))
-		}
-		sortResults(resp.Results)
-		resp.Stages.Rank = time.Since(start)
-		e.releaseArena(arena)
-	}
 	ex.Stages = resp.Stages
 	ex.MergeTime = resp.Stages.Merge
 	ex.ScanTime = resp.Stages.Windows + resp.Stages.Lift + resp.Stages.Filter

@@ -16,14 +16,30 @@ import (
 // definitional properties on hundreds of random labeled trees, both with
 // and without entity structure.
 
-// randomTree builds a random document. withEntities controls whether the
-// generator produces attribute+repeating patterns (so entity nodes exist).
+// randomTree builds a random document whose leaves hold one word each.
+// withEntities controls whether the generator produces attribute+repeating
+// patterns (so entity nodes exist).
 func randomTree(rng *rand.Rand, withEntities bool) *xmltree.Document {
+	return randomTreeWords(rng, withEntities, 1)
+}
+
+// randomTreeWords is randomTree with leafWords random words (repeats
+// allowed) in every leaf's text. A leaf that holds several query keywords
+// is a candidate whose terminals are all the node itself, which is where
+// the potential-flow rank exceeds the keyword count.
+func randomTreeWords(rng *rand.Rand, withEntities bool, leafWords int) *xmltree.Document {
 	words := []string{"apple", "pear", "plum", "fig", "cherry", "mango"}
+	leafText := func() string {
+		text := words[rng.Intn(len(words))]
+		for i := 1; i < leafWords; i++ {
+			text += " " + words[rng.Intn(len(words))]
+		}
+		return text
+	}
 	var build func(depth int) *xmltree.Node
 	build = func(depth int) *xmltree.Node {
 		if depth >= 5 || rng.Intn(4) == 0 {
-			return xmltree.ET("leaf", words[rng.Intn(len(words))])
+			return xmltree.ET("leaf", leafText())
 		}
 		if withEntities && rng.Intn(3) == 0 {
 			// Entity-shaped node: one attribute child + repeating members.
@@ -230,8 +246,13 @@ func TestPropertySLCACoverage(t *testing.T) {
 }
 
 func TestPropertyRankBounds(t *testing.T) {
-	// rank(e) <= P|e: the potential-flow rank never exceeds the initial
-	// potential, and is strictly positive for every result.
+	// rank(e) <= P|e holds on these trees because every keyword occurrence
+	// is a one-word leaf: the terminals of all keywords are distinct
+	// leaves, none below another, and the potential reaching such a set of
+	// nodes totals at most P|e. It is not a bound of the model in general:
+	// a node whose own text holds several keywords is the terminal of each
+	// and ranks up to P|e² (TestPropertyRankBoundMultiWordLeaves). Every
+	// result's rank is strictly positive.
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 80; trial++ {
 		doc := randomTree(rng, true)

@@ -13,7 +13,9 @@ import (
 // Query bench: end-to-end hot-path comparison between the frozen seed
 // pipeline (Engine.SearchBaseline — container/heap merge, map-backed
 // window scan, per-candidate allocations) and the current pipeline
-// (loser-tree merge, pooled query arena, memoized LCP). Both paths
+// (loser-tree merge, pooled query arena, memoized LCP, rank stage over
+// compact records with one path buffer per response), plus the current
+// pipeline's top-10 search. Both full-search paths
 // produce byte-identical responses (the core differential tests are the
 // oracle); this experiment records how much cheaper the current one is
 // on the paper workloads, with the per-stage latency split the engine
@@ -36,6 +38,9 @@ type QueryBenchRow struct {
 	// the workload for the seed and optimized pipelines.
 	SeedTime time.Duration
 	OptTime  time.Duration
+	// TopKTime is the summed best-of-reps wall time of the optimized
+	// SearchTopK with k=10 — the page a /search?top=10 request returns.
+	TopKTime time.Duration
 	// Speedup is SeedTime / OptTime.
 	Speedup float64
 	// SeedAllocs and OptAllocs are steady-state heap allocations per
@@ -96,6 +101,24 @@ func queryBenchWorkloads() []queryWorkload {
 	return ws
 }
 
+// queryBenchTopK is the page size of the top-k timing.
+const queryBenchTopK = 10
+
+// bestOf runs run reps times and returns its fastest wall time.
+func bestOf(reps int, run func() error) (time.Duration, error) {
+	var best time.Duration
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		if err := run(); err != nil {
+			return 0, err
+		}
+		if el := time.Since(start); r == 0 || el < best {
+			best = el
+		}
+	}
+	return best, nil
+}
+
 // allocsPerRun reports the mean heap allocations of one run() call in
 // steady state — the same measurement testing.AllocsPerRun makes,
 // inlined here so the gksbench binary does not link package testing.
@@ -149,15 +172,12 @@ func (s *Suite) QueryBench(reps int) (*QueryBenchResult, error) {
 
 		runtime.GC()
 		for _, q := range w.queries {
-			var best time.Duration
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				if _, err := eng.SearchBaseline(q, w.threshold); err != nil {
-					return nil, err
-				}
-				if el := time.Since(start); r == 0 || el < best {
-					best = el
-				}
+			best, err := bestOf(reps, func() error {
+				_, err := eng.SearchBaseline(q, w.threshold)
+				return err
+			})
+			if err != nil {
+				return nil, err
 			}
 			row.SeedTime += best
 		}
@@ -174,6 +194,18 @@ func (s *Suite) QueryBench(reps int) (*QueryBenchResult, error) {
 			row.Stages.Lift += float64(resp.Stages.Lift.Microseconds())
 			row.Stages.Filter += float64(resp.Stages.Filter.Microseconds())
 			row.Stages.Rank += float64(resp.Stages.Rank.Microseconds())
+		}
+
+		runtime.GC()
+		for _, q := range w.queries {
+			best, err := bestOf(reps, func() error {
+				_, err := eng.SearchTopK(q, w.threshold, queryBenchTopK)
+				return err
+			})
+			if err != nil {
+				return nil, err
+			}
+			row.TopKTime += best
 		}
 
 		row.SeedAllocs = allocsPerRun(func() {
@@ -210,12 +242,13 @@ func (s *Suite) QueryBench(reps int) (*QueryBenchResult, error) {
 // PrintQueryBench renders the experiment for the gksbench text report.
 func PrintQueryBench(w io.Writer, r *QueryBenchResult) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "dataset\ts\tqueries\tseed\toptimized\tspeedup\tallocs/q seed\tallocs/q opt\tqueries/s")
+	fmt.Fprintln(tw, "dataset\ts\tqueries\tseed\toptimized\tspeedup\ttop-10\tallocs/q seed\tallocs/q opt\tqueries/s")
 	for _, row := range r.Rows {
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%.2fx\t%.0f\t%.0f\t%.0f\n",
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%.2fx\t%s\t%.0f\t%.0f\t%.0f\n",
 			row.Dataset, row.Threshold, row.Queries,
 			row.SeedTime.Round(time.Microsecond), row.OptTime.Round(time.Microsecond),
-			row.Speedup, row.SeedAllocs, row.OptAllocs, row.QueriesPerSec)
+			row.Speedup, row.TopKTime.Round(time.Microsecond),
+			row.SeedAllocs, row.OptAllocs, row.QueriesPerSec)
 	}
 	tw.Flush()
 	fmt.Fprintf(w, "total: seed %s, optimized %s — %.2fx faster, %.0f%% fewer allocations\n",

@@ -525,11 +525,18 @@ func (ix *Index) ValueAt(ord int32) string {
 }
 
 // IDOf returns the Dewey identifier of the node at ord. The path is
-// materialized by a parent-chain walk (lazy expansion); result
-// formatting is the only hot caller, so the allocation stays off the
-// query's merge/window path.
+// materialized by a parent-chain walk (lazy expansion) into a fresh
+// allocation; callers that build an ID per result use AppendPathOf.
 func (ix *Index) IDOf(ord int32) dewey.ID {
 	return ix.packed.idOf(ord)
+}
+
+// AppendPathOf appends the Dewey path of the node at ord (DepthOf(ord)+1
+// components) to buf and returns the extended slice. Callers that build
+// many IDs size one buffer from DepthOf and cut each path out of it,
+// instead of paying IDOf's allocation per node.
+func (ix *Index) AppendPathOf(buf []int32, ord int32) []int32 {
+	return ix.packed.appendPath(ord, buf)
 }
 
 // DocOf returns the Dewey document number of the node at ord.

@@ -9,6 +9,13 @@
 // keyword in e's subtree; if a keyword occurs several times at its highest
 // level, every such occurrence is a terminal point.
 //
+// Each keyword's terminals receive at most P|e between them (they lie on
+// one level, and the potential reaching one level never exceeds P|e), so
+// 0 < rank(e) ≤ P|e², with equality when e's own text holds every one of
+// its keywords. rank(e) ≤ P|e is guaranteed only when the terminals of all
+// keywords are distinct nodes, none below another; otherwise a node can
+// outrank one that holds more keywords.
+//
 // The model makes a node's rank depend only on how many query keywords its
 // subtree holds and how tightly the subtree packs them — never on the
 // node's absolute depth in the document (verified by the paper's hybrid

@@ -85,7 +85,7 @@ func bestEffortPartialAware(ctx context.Context, q core.Query, search func(conte
 }
 
 // SearchTopK returns the k highest-ranked response nodes. Each shard
-// computes its own top k with rank-bound pruning; the global top k is a
+// computes its own exact top k; the global top k is a
 // prefix of the merge of per-shard top-k lists, because every global
 // top-k result is by definition within the top k of its own shard.
 func (s *Set) SearchTopK(query string, threshold, k int) (*core.Response, error) {
